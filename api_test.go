@@ -120,6 +120,11 @@ func TestSolveParallelEngineMatchesSequential(t *testing.T) {
 	if seq.Rounds != par.Rounds || len(seq.MIS) != len(par.MIS) {
 		t.Fatalf("engines diverged: %d/%d vs %d/%d", seq.Rounds, len(seq.MIS), par.Rounds, len(par.MIS))
 	}
+	for i := range seq.MIS {
+		if seq.MIS[i] != par.MIS[i] {
+			t.Fatalf("engines chose different MIS vertices: %v vs %v", seq.MIS, par.MIS)
+		}
+	}
 }
 
 func TestSolveErrors(t *testing.T) {

@@ -109,8 +109,6 @@ func benchEngine(b *testing.B, engine beep.Engine, n int, opts ...beep.Option) {
 }
 
 func BenchmarkRoundSequential4k(b *testing.B) { benchEngine(b, beep.Sequential, 4096) }
-func BenchmarkRoundParallel4k(b *testing.B)   { benchEngine(b, beep.Parallel, 4096) }
-func BenchmarkRoundPerVertex4k(b *testing.B)  { benchEngine(b, beep.PerVertex, 4096) }
 func BenchmarkRoundFlat4k(b *testing.B)       { benchEngine(b, beep.Flat, 4096) }
 
 // BenchmarkRoundFlatParallel4k runs the sharded flat engine with its

@@ -47,7 +47,7 @@ var _ io.Writer = (*countWriter)(nil)
 func stableCkptNet(b *testing.B, t graph.Topology, seed uint64) *beep.Network {
 	b.Helper()
 	proto := core.NewAlg1(core.KnownMaxDegreeExact(core.DefaultC1KnownDelta))
-	net, err := beep.NewNetwork(t, proto, seed, beep.WithEngine(beep.Flat), beep.WithSparse(beep.SparseAuto))
+	net, err := beep.NewNetwork(t, proto, seed, beep.WithEngine(beep.Flat))
 	if err != nil {
 		b.Fatal(err)
 	}

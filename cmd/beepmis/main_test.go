@@ -203,32 +203,40 @@ func TestRunGraph6File(t *testing.T) {
 	}
 }
 
-// TestRunEngines exercises the -engine flag across all five engines and
-// the error path for unknown names and baseline combinations.
+// TestRunEngines exercises the -engine flag across the three engines,
+// the distributed path, and the error paths for unknown names, the
+// removed engines (whose error names the replacement) and baseline
+// combinations.
 func TestRunEngines(t *testing.T) {
-	for _, engine := range []string{"sequential", "parallel", "pervertex", "flat", "flatparallel"} {
+	for _, engine := range []string{"sequential", "flat", "flatparallel"} {
 		if err := run([]string{"-family", "cycle:24", "-engine", engine, "-seed", "3"}); err != nil {
 			t.Fatalf("%s: %v", engine, err)
 		}
 	}
+	if err := run([]string{"-family", "cycle:24", "-distributed", "-partitions", "2", "-seed", "3"}); err != nil {
+		t.Fatalf("-distributed: %v", err)
+	}
 	if err := run([]string{"-family", "cycle:24", "-engine", "warp"}); err == nil || !strings.Contains(err.Error(), "unknown engine") {
 		t.Fatalf("want unknown-engine error, got %v", err)
+	}
+	for _, engine := range []string{"parallel", "pervertex"} {
+		if err := run([]string{"-family", "cycle:24", "-engine", engine}); err == nil || !strings.Contains(err.Error(), "flatparallel") {
+			t.Fatalf("-engine %s: want an error naming flatparallel, got %v", engine, err)
+		}
 	}
 	if err := run([]string{"-family", "cycle:16", "-alg", "luby", "-engine", "flat"}); err == nil {
 		t.Fatal("want error for -engine with a baseline algorithm")
 	}
 }
 
-// TestRunWorkersFlag covers -workers: explicit counts on the parallel
-// engines (including counts above the vertex count, which the network
-// clamps), acceptance on the churn and adversary paths, rejection of
-// negative values, and rejection for baseline algorithms.
+// TestRunWorkersFlag covers -workers: explicit counts on flatparallel
+// (including counts above the vertex count, which the network clamps),
+// acceptance on the churn and adversary paths, rejection of negative
+// values, and rejection for baseline algorithms.
 func TestRunWorkersFlag(t *testing.T) {
-	for _, engine := range []string{"flatparallel", "parallel"} {
-		for _, w := range []string{"1", "2", "999"} {
-			if err := run([]string{"-family", "cycle:24", "-engine", engine, "-workers", w, "-seed", "3"}); err != nil {
-				t.Fatalf("%s/-workers=%s: %v", engine, w, err)
-			}
+	for _, w := range []string{"1", "2", "999"} {
+		if err := run([]string{"-family", "cycle:24", "-engine", "flatparallel", "-workers", w, "-seed", "3"}); err != nil {
+			t.Fatalf("-workers=%s: %v", w, err)
 		}
 	}
 	if err := run([]string{"-family", "cycle:24", "-engine", "flatparallel", "-workers", "2",
@@ -245,52 +253,6 @@ func TestRunWorkersFlag(t *testing.T) {
 	}
 	if err := run([]string{"-family", "cycle:16", "-alg", "luby", "-init", "fresh", "-workers", "2"}); err == nil {
 		t.Fatal("want error for -workers with a baseline algorithm")
-	}
-}
-
-// TestRunSparseFlag covers -sparse: the three mode names on every
-// engine that supports them (sequential carries flat kernels, so
-// forced-on works there too), the distributed path, and the rejection
-// matrix — unknown mode names, forced-on with kernel-less engines, and
-// baseline algorithms.
-func TestRunSparseFlag(t *testing.T) {
-	for _, engine := range []string{"sequential", "flat", "flatparallel"} {
-		for _, mode := range []string{"auto", "on", "off"} {
-			if err := run([]string{"-family", "cycle:24", "-engine", engine, "-sparse", mode, "-seed", "3"}); err != nil {
-				t.Fatalf("%s/-sparse=%s: %v", engine, mode, err)
-			}
-		}
-	}
-	// The delta path must survive the churn and fault-drill drivers
-	// (faults corrupt state mid-run; churn rewires live).
-	if err := run([]string{"-family", "gnp:24:0.2", "-engine", "flat", "-sparse", "on",
-		"-churn", "flap:2:2", "-seed", "5"}); err != nil {
-		t.Fatalf("churn with -sparse on: %v", err)
-	}
-	if err := run([]string{"-family", "cycle:20", "-engine", "flat", "-sparse", "on",
-		"-faults", "4", "-seed", "3"}); err != nil {
-		t.Fatalf("faults with -sparse on: %v", err)
-	}
-	if err := run([]string{"-family", "cycle:24", "-distributed", "-partitions", "2",
-		"-sparse", "on", "-seed", "3"}); err != nil {
-		t.Fatalf("distributed with -sparse on: %v", err)
-	}
-	if err := run([]string{"-family", "cycle:24", "-distributed", "-partitions", "2",
-		"-sparse", "off", "-seed", "3"}); err != nil {
-		t.Fatalf("distributed with -sparse off: %v", err)
-	}
-	if err := run([]string{"-family", "cycle:24", "-sparse", "bogus"}); err == nil ||
-		!strings.Contains(err.Error(), "sparse") {
-		t.Fatalf("want unknown-mode error, got %v", err)
-	}
-	for _, engine := range []string{"parallel", "pervertex"} {
-		if err := run([]string{"-family", "cycle:24", "-engine", engine, "-sparse", "on"}); err == nil ||
-			!strings.Contains(err.Error(), "flat-kernel") {
-			t.Fatalf("%s: want flat-kernel rejection, got %v", engine, err)
-		}
-	}
-	if err := run([]string{"-family", "cycle:16", "-alg", "luby", "-init", "fresh", "-sparse", "on"}); err == nil {
-		t.Fatal("want error for -sparse with a baseline algorithm")
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 // algorithms: the round-level API for self-stabilization studies. It
 // exposes single-round stepping, legality queries, and transient-fault
 // injection. Close releases engine resources when the parallel engine
-// is used.
+// (WithParallelEngine) is used.
 type Instance struct {
 	net      *beep.Network
 	faultSrc *rng.Source
@@ -43,7 +43,7 @@ func NewInstance(g *Graph, opts ...Option) (*Instance, error) {
 	}
 	engine := beep.Sequential
 	if o.parallel {
-		engine = beep.Parallel
+		engine = beep.FlatParallel
 	}
 	net, err := beep.NewNetwork(g.g, proto, o.seed, beep.WithEngine(engine), beep.WithNoise(o.noise), beep.WithSleep(o.sleep))
 	if err != nil {
@@ -170,5 +170,5 @@ func (i *Instance) Load(r io.Reader) error {
 }
 
 // Close releases the engine's worker goroutines; safe to call multiple
-// times and required only for the parallel engine.
+// times and required only for the parallel engine (WithParallelEngine).
 func (i *Instance) Close() { i.net.Close() }

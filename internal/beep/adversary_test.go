@@ -251,17 +251,16 @@ func TestAdversaryFollowsRewire(t *testing.T) {
 }
 
 // TestAdversaryEngineEquivalence is the focused engine contract for the
-// adversary layer alone (the rewire test covers the combined case): all
-// three engines must agree on executions with every policy installed,
-// under noise and sleep, because babbler draws are pre-drawn
+// adversary layer alone (the rewire test covers the combined case):
+// every execution path must agree on executions with every policy
+// installed, under noise and sleep, because babbler draws are pre-drawn
 // sequentially.
 func TestAdversaryEngineEquivalence(t *testing.T) {
 	g := graph.GNPAvgDegree(30, 5, rng.New(8))
 	const seed, rounds = 77, 25
-	run := func(engine Engine) [][]Signal {
+	run := func(opts []Option) [][]Signal {
 		var trace [][]Signal
-		net, err := NewNetwork(g, probeProtocol{}, seed,
-			WithEngine(engine),
+		net, err := NewNetwork(g, coinKernels, seed, append(opts,
 			WithNoise(Noise{PLoss: 0.1, PFalse: 0.05}),
 			WithSleep(Sleep{P: 0.1}),
 			WithAdversaries(AdvJammer, []int{0}),
@@ -272,7 +271,7 @@ func TestAdversaryEngineEquivalence(t *testing.T) {
 				row = append(row, sent...)
 				row = append(row, heard...)
 				trace = append(trace, row)
-			}))
+			}))...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -283,13 +282,13 @@ func TestAdversaryEngineEquivalence(t *testing.T) {
 		}
 		return trace
 	}
-	ref := run(Sequential)
-	for _, engine := range []Engine{Parallel, PerVertex} {
-		got := run(engine)
+	ref := run(engineRows[0].opts)
+	for _, e := range engineRows[1:] {
+		got := run(e.opts)
 		for r := range ref {
 			for i := range ref[r] {
 				if got[r][i] != ref[r][i] {
-					t.Fatalf("engine %v diverged at round %d slot %d", engine, r, i)
+					t.Fatalf("%s diverged at round %d slot %d", e.name, r, i)
 				}
 			}
 		}

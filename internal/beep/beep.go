@@ -16,9 +16,12 @@
 //     of the paper respectively.
 //
 // Protocols are per-vertex state machines (Machine) created by a Protocol
-// factory, executed by interchangeable engines (sequential, sharded
-// parallel, and goroutine-per-vertex) that are trace-equivalent for a
-// fixed seed.
+// factory. Rounds run on one of two strategies that are trace-equivalent
+// for a fixed seed: the reference per-machine interface loop
+// (Sequential with WithFlatKernels(false), and Sequential for protocols
+// without kernels), and the flat cohort kernels over structure-of-arrays
+// slabs (Flat on one goroutine, FlatParallel striped over a worker
+// pool; kernel-capable Sequential upgrades to them transparently).
 package beep
 
 import (
@@ -112,28 +115,22 @@ type BatchProtocol interface {
 type Engine int
 
 const (
-	// Sequential executes vertices one after another in a single
-	// goroutine. It is the fastest engine for small graphs and the
-	// reference semantics.
+	// Sequential executes rounds in a single goroutine. It runs the flat
+	// kernels whenever the protocol provides them and WithFlatKernels
+	// was not disabled; otherwise it runs the reference per-machine
+	// interface loop, the semantics every other path is pinned against.
 	Sequential Engine = iota + 1
-	// Parallel shards vertices over worker goroutines with two barriers
-	// per round (emit barrier, update barrier).
-	Parallel
-	// PerVertex runs one goroutine per vertex, the direct Go realization
-	// of the model's "every vertex is an independent processor".
-	PerVertex
 	// Flat executes rounds over structure-of-arrays slabs with
 	// whole-cohort kernels and bitset beep delivery (see flat.go). It
-	// requires the protocol's bulk state to implement FlatProtocol and
-	// is the only engine that accepts WithBatchedSampling.
+	// requires the protocol's bulk state to implement FlatProtocol.
 	Flat
-	// FlatParallel shards the flat cohort kernels over the
-	// sense-reversing worker pool: contiguous 64-vertex-aligned slab
-	// stripes per worker for emit/update, word-range-partitioned sender
-	// packing, per-worker scatter masks merged by word-range ownership
-	// for delivery (see flatparallel.go). Like Flat it requires
-	// FlatProtocol kernels, and like every other engine it is
-	// trace-equivalent to the sequential reference for a fixed seed.
+	// FlatParallel stripes the flat cohort kernels over a worker pool:
+	// contiguous 64-vertex-aligned slab stripes per worker for
+	// emit/update, word-range-partitioned sender packing, and per-worker
+	// scatter masks merged by word-range ownership for delivery (see
+	// flatparallel.go). Like Flat it requires FlatProtocol kernels, and
+	// it is trace-equivalent to the sequential reference for a fixed
+	// seed.
 	FlatParallel
 )
 
@@ -142,10 +139,6 @@ func (e Engine) String() string {
 	switch e {
 	case Sequential:
 		return "sequential"
-	case Parallel:
-		return "parallel"
-	case PerVertex:
-		return "pervertex"
 	case Flat:
 		return "flat"
 	case FlatParallel:
@@ -156,20 +149,20 @@ func (e Engine) String() string {
 }
 
 // ParseEngine maps an engine name (as produced by Engine.String) back to
-// the Engine value, for command-line flags.
+// the Engine value, for command-line flags. The retired interface-loop
+// pool engines ("parallel", "pervertex") are rejected with a message
+// naming their replacement.
 func ParseEngine(name string) (Engine, error) {
 	switch name {
 	case "sequential":
 		return Sequential, nil
-	case "parallel":
-		return Parallel, nil
-	case "pervertex":
-		return PerVertex, nil
 	case "flat":
 		return Flat, nil
 	case "flatparallel":
 		return FlatParallel, nil
+	case "parallel", "pervertex":
+		return 0, fmt.Errorf("beep: engine %q was removed; use flatparallel (same trace, flat kernels striped over workers)", name)
 	default:
-		return 0, fmt.Errorf("beep: unknown engine %q (want sequential, parallel, pervertex, flat or flatparallel)", name)
+		return 0, fmt.Errorf("beep: unknown engine %q (want sequential, flat or flatparallel)", name)
 	}
 }

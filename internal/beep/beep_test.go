@@ -1,6 +1,7 @@
 package beep
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -40,8 +41,26 @@ func (m *counterMachine) Randomize(src *rng.Source) {
 }
 
 // probeProtocol beeps with probability 1/2 using the vertex stream; used
-// for engine-equivalence checks where randomness matters.
+// where randomness matters but flat kernels are not needed.
 type probeProtocol struct{}
+
+// coinKernels is a protocol with flat cohort kernels — a fair coin per
+// vertex per round, no state — that never injects a fault (see
+// flatPanicProtocol). The engine-equivalence tests of this package run
+// it on every execution path in engineRows.
+var coinKernels = flatPanicProtocol{round: -1}
+
+// engineRows are the execution paths the engine-equivalence tests of
+// this package compare: the reference interface loop first (the
+// oracle), then both flat engines.
+var engineRows = []struct {
+	name string
+	opts []Option
+}{
+	{"reference", []Option{WithFlatKernels(false)}},
+	{"flat", []Option{WithEngine(Flat)}},
+	{"flatparallel", []Option{WithEngine(FlatParallel), WithWorkers(3)}},
+}
 
 func (probeProtocol) Channels() int { return 1 }
 func (probeProtocol) NewMachine(int, graph.Topology) Machine {
@@ -94,11 +113,28 @@ func TestSignalHas(t *testing.T) {
 }
 
 func TestEngineString(t *testing.T) {
-	if Sequential.String() != "sequential" || Parallel.String() != "parallel" || PerVertex.String() != "pervertex" {
+	for _, e := range []Engine{Sequential, Flat, FlatParallel} {
+		got, err := ParseEngine(e.String())
+		if err != nil || got != e {
+			t.Fatalf("ParseEngine(%q) = %v, %v; want %v", e.String(), got, err, e)
+		}
+	}
+	if Sequential.String() != "sequential" || Flat.String() != "flat" || FlatParallel.String() != "flatparallel" {
 		t.Fatal("engine names wrong")
 	}
 	if Engine(42).String() != "engine(42)" {
 		t.Fatal("unknown engine name wrong")
+	}
+	// The retired engines are rejected with a message naming the
+	// replacement, not silently remapped.
+	for _, name := range []string{"parallel", "pervertex"} {
+		_, err := ParseEngine(name)
+		if err == nil || !strings.Contains(err.Error(), "flatparallel") {
+			t.Fatalf("ParseEngine(%q) = %v, want an error naming flatparallel", name, err)
+		}
+	}
+	if _, err := ParseEngine("warp"); err == nil {
+		t.Fatal("unknown engine accepted")
 	}
 }
 
@@ -218,15 +254,14 @@ func TestEnginesProduceIdenticalTraces(t *testing.T) {
 	const seed, steps = 12345, 50
 	for _, g := range graphs {
 		var ref [][]Signal
-		for _, engine := range []Engine{Sequential, Parallel, PerVertex} {
+		for _, e := range engineRows {
 			var trace [][]Signal
-			net, err := NewNetwork(g, probeProtocol{}, seed,
-				WithEngine(engine),
-				WithObserver(func(_ int, sent, _ []Signal) {
+			net, err := NewNetwork(g, coinKernels, seed,
+				append([]Option{WithObserver(func(_ int, sent, _ []Signal) {
 					row := make([]Signal, len(sent))
 					copy(row, sent)
 					trace = append(trace, row)
-				}))
+				})}, e.opts...)...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -241,7 +276,7 @@ func TestEnginesProduceIdenticalTraces(t *testing.T) {
 			for r := range ref {
 				for v := range ref[r] {
 					if ref[r][v] != trace[r][v] {
-						t.Fatalf("%s: engine %v diverged from sequential at round %d vertex %d", g.Name(), engine, r+1, v)
+						t.Fatalf("%s: %s diverged from the reference at round %d vertex %d", g.Name(), e.name, r+1, v)
 					}
 				}
 			}
@@ -257,7 +292,7 @@ func TestCloseIdempotentAndSequentialNoop(t *testing.T) {
 	net.Close()
 	net.Close()
 
-	netP, err := NewNetwork(graph.Path(3), counterProtocol{}, 1, WithEngine(Parallel))
+	netP, err := NewNetwork(graph.Path(3), coinKernels, 1, WithEngine(FlatParallel))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,10 +305,10 @@ func TestCloseIdempotentAndSequentialNoop(t *testing.T) {
 // terminal, and Step on a closed network panics instead of silently
 // re-spawning a worker pool (the old behavior leaked goroutine pools
 // whenever a caller stepped a closed network). Regression test for the
-// concurrent and sequential engines alike.
+// pooled and single-goroutine engines alike.
 func TestStepAfterCloseIsTerminal(t *testing.T) {
-	for _, engine := range []Engine{Sequential, Parallel, PerVertex} {
-		net, err := NewNetwork(graph.Cycle(8), probeProtocol{}, 3, WithEngine(engine))
+	for _, engine := range []Engine{Sequential, Flat, FlatParallel} {
+		net, err := NewNetwork(graph.Cycle(8), coinKernels, 3, WithEngine(engine))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -332,22 +367,6 @@ func TestRandomizeAllReachesMachines(t *testing.T) {
 	}
 	if nonZero == 0 {
 		t.Fatal("RandomizeAll had no visible effect")
-	}
-}
-
-func TestPerVertexPoolHasOneShardPerVertex(t *testing.T) {
-	net, err := NewNetwork(graph.Path(7), counterProtocol{}, 1, WithEngine(PerVertex))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer net.Close()
-	if got := len(net.workers.shards); got != 7 {
-		t.Fatalf("PerVertex shards = %d, want 7", got)
-	}
-	for i, sh := range net.workers.shards {
-		if sh[1]-sh[0] != 1 {
-			t.Fatalf("shard %d spans %v, want single vertex", i, sh)
-		}
 	}
 }
 

@@ -333,9 +333,6 @@ func (n *Network) CheckpointDelta(parentHash uint64) (*Delta, error) {
 	if n.failed != nil {
 		return nil, fmt.Errorf("beep: delta checkpoint of failed network: %w", n.failed)
 	}
-	if n.sampler != nil {
-		return nil, errors.New("beep: delta checkpoint with batched sampling enabled: the sampler's residual words are not checkpointable")
-	}
 	if n.DirtyAll() {
 		return nil, errors.New("beep: delta checkpoint with everything dirty: write a base snapshot instead (see DirtyAll)")
 	}

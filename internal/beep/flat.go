@@ -18,15 +18,19 @@ import (
 // kernel calls, and replaces the per-edge signal scatter with a
 // bitset-based delivery kernel (deliverFlat below).
 //
-// The flat path is observationally identical to the reference engines:
+// The flat path is observationally identical to the reference loop:
 // each vertex consumes exactly the draws its Machine.Emit would have
 // consumed from its private stream, so traces are bit-for-bit equal
 // (enforced by TestEngineTraceEquivalence and FuzzFlatEmitDrawEquivalence).
 // Because of that, the Sequential engine transparently upgrades to the
 // flat kernels whenever the protocol provides them; the explicit Flat
 // engine additionally *requires* them (construction fails otherwise,
-// making performance predictable) and is the only engine on which the
-// amortized Bernoulli sampler (WithBatchedSampling) may be enabled.
+// making performance predictable).
+//
+// Fault-free rounds run the activity-gated kernels of sparse.go; the
+// dense whole-cohort step below runs only on fault-model rounds (sleep,
+// adversaries, noise), whose skip masks and shared-stream draws the
+// sparse path does not model.
 
 // FlatEnv is the execution environment the flat engine passes to a
 // FlatProtocol's kernels for one round phase. The slices alias network
@@ -38,27 +42,21 @@ type FlatEnv struct {
 	Sent []Signal
 	// Heard is the OR of neighbor signals, valid during UpdateAll.
 	Heard []Signal
-	// Srcs are the private per-vertex random streams. On the exact path
-	// (Sampler == nil) kernels must consume them exactly as the
-	// corresponding Machine.Emit would, so traces stay bit-identical.
+	// Srcs are the private per-vertex random streams. Kernels must
+	// consume them exactly as the corresponding Machine.Emit would, so
+	// traces stay bit-identical.
 	Srcs []*rng.Source
 	// Skip marks the vertices the kernel must not touch this round
 	// (sleeping or adversarial); nil when every vertex participates.
 	Skip *bitset.Set
-	// Sampler, when non-nil, replaces the per-vertex Bernoulli(2^-ℓ)
-	// draws with the amortized batch sampler. Distribution-exact,
-	// sequence-divergent; enabled only via WithBatchedSampling.
-	Sampler *rng.Batch
 
-	// Drew must be set true by EmitAll if it consumed any randomness
-	// (from Srcs or Sampler) this round. Drawless rounds are candidates
-	// for quiescence elision (see FlatQuiescer); a kernel that forgets
-	// to set Drew breaks trace exactness, which the engine equivalence
-	// tests would catch.
-	Drew bool
-	// Changed must be set true by UpdateAll if it mutated any machine
-	// state this round (level, cap, or auxiliary counters). A round
-	// that neither drew nor changed is a fixed point of the dynamics.
+	// Drew must be set true by an emit kernel if it consumed any
+	// randomness this round, and Changed by an update kernel if it
+	// mutated any machine state (level, cap, or auxiliary counters). A
+	// round that neither drew nor changed is a fixed point of the
+	// dynamics; the distributed engine's stop detection reads the flags
+	// (see Partition.EmitLocalSparse).
+	Drew    bool
 	Changed bool
 }
 
@@ -85,8 +83,19 @@ func (e *FlatEnv) Skipped(v int) bool {
 // without perturbing any vertex's draw sequence: that is the whole
 // determinism argument of the parallel flat engine.
 //
-// Each worker passes its own FlatEnv, so the Drew/Changed flags are
-// per-stripe and race-free; the engine ORs them after the barrier.
+// The sparse forms are the activity-gated kernels of sparse.go. act
+// and upd are word-activity masks: bit wi of act[wi/64] gates slab word
+// wi (vertices [wi*64, wi*64+64)). EmitSparse must behave exactly like
+// EmitRange restricted to the vertices of marked words, additionally
+// setting the word's bit in drewW iff any of its vertices consumed
+// randomness; UpdateSparse likewise, setting changedW word bits iff
+// state moved. Both run only on fault-free rounds (env.Skip is nil by
+// contract), and neither sets output bits of unmarked words (the
+// engine clears the masks).
+//
+// Each worker passes its own FlatEnv and output masks, so the
+// Drew/Changed flags and mask bits are per-stripe and race-free; the
+// engine ORs them after the barrier.
 type FlatProtocol interface {
 	// EmitAll decides every non-skipped vertex's signal for the round.
 	EmitAll(env *FlatEnv)
@@ -97,29 +106,11 @@ type FlatProtocol interface {
 	EmitRange(env *FlatEnv, lo, hi int)
 	// UpdateRange is the [lo, hi) stripe of UpdateAll.
 	UpdateRange(env *FlatEnv, lo, hi int)
-}
-
-// FlatQuiescer is the optional extension that enables quiescence
-// elision. A stabilized configuration of the paper's protocols is a
-// literal fixed point of the round function: MIS members (ℓ ≤ 0) beep
-// surely without consulting their stream, everyone else sits at ℓmax in
-// silence, and no Update moves — so the round neither draws randomness
-// nor changes state, and every subsequent round is byte-identical until
-// something external (Corrupt, a targeted SetLevel, Restore, Rewire)
-// perturbs the state. The engine exploits this exactly: after a round
-// with !Drew && !Changed it calls SnapshotState, and while the snapshot
-// verifies (StateUnchanged) it elides whole rounds in one O(n) slab
-// compare instead of an O(n + m) simulation. The compare makes the
-// optimization sound with no invalidation hooks: any mutation of
-// machine state — through the Network or through a retained Machine
-// pointer — fails the verify and drops back to full simulation.
-type FlatQuiescer interface {
-	// SnapshotState records the complete mutable machine state of the
-	// cohort for later comparison.
-	SnapshotState()
-	// StateUnchanged reports whether the cohort state is byte-identical
-	// to the last snapshot; it must return false if no snapshot exists.
-	StateUnchanged() bool
+	// EmitSparse is EmitRange over the words of [lo, hi) marked in act.
+	EmitSparse(env *FlatEnv, act, drewW []uint64, lo, hi int)
+	// UpdateSparse is UpdateRange over the words of [lo, hi) marked in
+	// upd.
+	UpdateSparse(env *FlatEnv, upd, changedW []uint64, lo, hi int)
 }
 
 // FlatReiniter is the optional extension implemented by bulk-state
@@ -137,21 +128,9 @@ type FlatReiniter interface {
 // Sequential engine (default: enabled when the protocol provides it).
 // Disabling forces the reference per-machine loop; the engine
 // trace-equivalence tests use this to pin the flat kernels against the
-// reference semantics. It has no effect on the Parallel and PerVertex
-// engines, and the explicit Flat engine rejects it.
+// reference semantics. The Flat and FlatParallel engines reject it.
 func WithFlatKernels(enabled bool) Option {
 	return func(n *Network) { n.noFlat = !enabled }
-}
-
-// WithBatchedSampling replaces the per-vertex Bernoulli(2^-ℓ) draws of
-// the flat kernels with the amortized rng.Batch sampler (one 64-bit
-// draw services up to ⌊64/ℓ⌋ same-level trials). The sampled execution
-// is distribution-identical but not bit-identical to the exact path, so
-// the option is only accepted on the explicit Flat engine, and networks
-// using it refuse to checkpoint (the sampler's residual words are not
-// part of checkpoint format v2).
-func WithBatchedSampling() Option {
-	return func(n *Network) { n.batched = true }
 }
 
 // Dedicated-stream salts (see NewNetwork): each auxiliary randomness
@@ -161,14 +140,12 @@ const (
 	noiseSalt = 0x6e6f697365 // "noise"
 	sleepSalt = 0x736c656570 // "sleep"
 	advSalt   = 0x61647673   // "advs"
-	batchSalt = 0x6261746368 // "batch"
 )
 
 // finishFlatSetup resolves the flat configuration after all options
-// have been applied: binds the flat kernels (unless disabled), enforces
-// the Flat engine's requirement for them, and constructs the batch
-// sampler when requested.
-func (n *Network) finishFlatSetup(proto Protocol, seed uint64) error {
+// have been applied: binds the flat kernels (unless disabled) and
+// enforces the flat engines' requirement for them.
+func (n *Network) finishFlatSetup(proto Protocol) error {
 	n.bindFlatOps()
 	if n.engine == Flat || n.engine == FlatParallel {
 		if n.noFlat {
@@ -178,35 +155,14 @@ func (n *Network) finishFlatSetup(proto Protocol, seed uint64) error {
 			return fmt.Errorf("beep: %v engine requires flat kernels, but %T's bulk state (%T) does not implement FlatProtocol", n.engine, proto, n.bulk)
 		}
 	}
-	if n.sparseMode == SparseOn {
-		if n.flatOps == nil || n.engine == Parallel || n.engine == PerVertex {
-			return fmt.Errorf("beep: WithSparse(on) requires a flat-kernel engine (Sequential with kernels, Flat, or FlatParallel); got %v", n.engine)
-		}
-		if _, ok := n.flatOps.(SparseFlatProtocol); !ok {
-			return fmt.Errorf("beep: WithSparse(on): %T's bulk state (%T) does not implement SparseFlatProtocol", proto, n.bulk)
-		}
-	}
-	if n.batched {
-		if n.engine != Flat {
-			// FlatParallel is also excluded: the amortized sampler is one
-			// shared sequential stream, which worker stripes cannot share
-			// without serializing (or re-ordering) draws.
-			return fmt.Errorf("beep: WithBatchedSampling requires the flat engine (got %v): only the explicitly non-trace-equivalent engine may re-order draws", n.engine)
-		}
-		n.sampler = rng.NewBatch(seed ^ batchSalt)
-	}
 	return nil
 }
 
-// bindFlatOps (re)derives the flat kernel and quiescer bindings from
-// the current bulk-state handle; called at construction and after
-// Rewire (which rebuilds the slab, or drops it for non-codec machine
-// cohorts). Any rebind discards quiescence: the snapshot, if any, was
-// taken of the previous slab.
+// bindFlatOps (re)derives the flat kernel binding from the current
+// bulk-state handle; called at construction and after Rewire (which
+// rebuilds the slab, or drops it for non-codec machine cohorts).
 func (n *Network) bindFlatOps() {
 	n.flatOps = nil
-	n.flatQuiescer = nil
-	n.quiet = false
 	// Whatever triggered the rebind (construction, Rewire) changed the
 	// cohort or topology: the sparse path must restart from an
 	// all-active frontier and rebuild its delivery invariants densely,
@@ -220,61 +176,34 @@ func (n *Network) bindFlatOps() {
 	if fp, ok := n.bulk.(FlatProtocol); ok {
 		n.flatOps = fp
 	}
-	if q, ok := n.bulk.(FlatQuiescer); ok {
-		n.flatQuiescer = q
-	}
 }
 
-// stepFlat executes one synchronous round through the flat kernels:
-// sequential pre-phases (sleep/adversary draws) exactly as the other
-// engines run them, whole-cohort emit, bitset delivery, the sequential
-// noise pass, and whole-cohort update. Machine panics inside a kernel
-// are contained into a *RunError like every other engine; the flat
-// kernels process the cohort as a whole, so the error cannot name the
-// vertex (Vertex is -1).
-func (n *Network) stepFlat(ops FlatProtocol) *RunError {
-	if n.quiet {
-		// Quiescence elision: the previous round was a fixed point
-		// (no draws, no state change, no fault models enabled). If the
-		// state still matches the snapshot — i.e. nothing mutated it
-		// between rounds — this round is byte-identical to the last:
-		// sent and heard already hold its signals, no stream moves, no
-		// state moves. One O(n) compare replaces the O(n + m) round.
-		if n.flatQuiescer.StateUnchanged() {
-			n.roundActive, n.roundFrontier = 0, 0
-			return nil
-		}
-		n.quiet = false
-	}
+// stepFlat executes one dense synchronous round through the flat
+// kernels — the fault-model round of the single-goroutine flat path:
+// sequential pre-phases (sleep/adversary draws) exactly as the
+// reference loop runs them, whole-cohort emit, bitset delivery, the
+// sequential noise pass, and whole-cohort update. Machine panics inside
+// a kernel are contained into a *RunError like the reference loop's;
+// the flat kernels process the cohort as a whole, so the error cannot
+// name the vertex (Vertex is -1).
+func (n *Network) stepFlat() *RunError {
 	n.drawSleep()
 	n.drawAdversaries()
 	env := &n.flatEnv
 	env.Sent, env.Heard, env.Srcs = n.sent, n.heard, n.srcs
 	env.Skip = n.buildFlatSkip()
-	env.Sampler = n.sampler
 	env.Drew, env.Changed = false, false
-	if err := n.runFlatKernel("emit", ops, env); err != nil {
+	if err := n.runFlatKernel("emit", env); err != nil {
 		return err
 	}
 	n.deliverFlat()
 	n.applyNoise()
-	if err := n.runFlatKernel("update", ops, env); err != nil {
-		return err
-	}
-	if !env.Drew && !env.Changed && n.flatQuiescer != nil &&
-		env.Skip == nil && !n.noise.enabled() {
-		// Fixed point reached (fault models that consume per-round
-		// randomness — sleep, adversaries, noise — disqualify the
-		// round; a skip mask implies the former two were active).
-		n.flatQuiescer.SnapshotState()
-		n.quiet = true
-	}
-	return nil
+	return n.runFlatKernel("update", env)
 }
 
 // runFlatKernel invokes one cohort kernel (phase "emit" or "update")
 // with the same panic containment contract as emitRange/updateRange.
-func (n *Network) runFlatKernel(phase string, ops FlatProtocol, env *FlatEnv) (rerr *RunError) {
+func (n *Network) runFlatKernel(phase string, env *FlatEnv) (rerr *RunError) {
 	defer func() {
 		if r := recover(); r != nil {
 			rerr = &RunError{
@@ -284,9 +213,9 @@ func (n *Network) runFlatKernel(phase string, ops FlatProtocol, env *FlatEnv) (r
 		}
 	}()
 	if phase == "emit" {
-		ops.EmitAll(env)
+		n.flatOps.EmitAll(env)
 	} else {
-		ops.UpdateAll(env)
+		n.flatOps.UpdateAll(env)
 	}
 	return nil
 }
@@ -548,16 +477,12 @@ func (n *Network) Reseed(seed uint64) error {
 	n.noiseSrc.Reseed(seed ^ noiseSalt)
 	n.sleepSrc.Reseed(seed ^ sleepSalt)
 	n.advSrc.Reseed(seed ^ advSalt)
-	if n.sampler != nil {
-		n.sampler.Reseed(seed ^ batchSalt)
-	}
 	for v := range n.sent {
 		n.sent[v] = Silent
 		n.heard[v] = Silent
 	}
 	n.round = 0
 	n.failed = nil
-	n.quiet = false // sent/heard were cleared: a stale snapshot must not elide
 	// The sender bitsets still hold the previous execution's bits while
 	// sent was just cleared: force the sparse path to restart all-active
 	// and rebuild its delivery invariants densely. Every vertex state

@@ -6,8 +6,12 @@ import (
 	"repro/internal/bitset"
 )
 
-// This file implements the FlatParallel engine: the flat cohort kernels
-// of flat.go sharded over the sense-reversing worker pool of network.go.
+// This file implements the FlatParallel engine's dense round: the flat
+// cohort kernels of flat.go sharded over the sense-reversing worker
+// pool of network.go. Fault-free rounds run the activity-gated step of
+// sparse.go (stepFlatParallelSparse), which reuses the pack, scatter,
+// merge and gather phases below whenever its crossover picks dense
+// delivery; the full dense round runs on fault-model rounds only.
 //
 // Layout. The pool's shards are contiguous vertex stripes padded to
 // 64-vertex multiples, so a stripe [lo, hi) owns exactly the 64-bit
@@ -45,8 +49,8 @@ import (
 // count and scheduling (enforced by TestEngineTraceEquivalence,
 // TestFlatParallelWorkerCountInvariance and the churn/chaos matrices).
 // The pre-phases that do consume shared streams (sleep, adversaries,
-// noise) run sequentially on the coordinator, exactly as in every other
-// engine.
+// noise) run sequentially on the coordinator, exactly as in the other
+// engines.
 
 // flatWorker is the per-worker state of the FlatParallel engine. The
 // trailing pad keeps the per-round mutable fields of adjacent workers
@@ -77,24 +81,12 @@ type flatWorker struct {
 	_      [64]byte // cache-line padding between adjacent workers
 }
 
-// stepFlatParallel executes one synchronous round through the sharded
-// flat kernels. Machine panics inside a kernel stripe are contained
-// before the barrier join exactly like the interface-loop engines', so
-// a panicking cohort pass never orphans the pool; the error carries
-// Vertex = -1 (the kernel processes its stripe as a whole) and the
-// failing phase.
-func (n *Network) stepFlatParallel(ops FlatProtocol) *RunError {
-	if n.quiet {
-		// Quiescence elision, verbatim from the sequential flat engine:
-		// the previous round was a fixed point and nothing external
-		// touched the state since, so this round is byte-identical to
-		// the last. One O(n) compare replaces the whole barrier dance.
-		if n.flatQuiescer.StateUnchanged() {
-			n.roundActive, n.roundFrontier = 0, 0
-			return nil
-		}
-		n.quiet = false
-	}
+// stepFlatParallel executes one dense synchronous round through the
+// sharded flat kernels. Machine panics inside a kernel stripe are
+// contained before the barrier join, so a panicking cohort pass never
+// orphans the pool; the error carries Vertex = -1 (the kernel processes
+// its stripe as a whole) and the failing phase.
+func (n *Network) stepFlatParallel() *RunError {
 	n.drawSleep()
 	n.drawAdversaries()
 	skip := n.buildFlatSkip()
@@ -109,12 +101,10 @@ func (n *Network) stepFlatParallel(ops FlatProtocol) *RunError {
 		w := &p.flat[i]
 		w.env.Sent, w.env.Heard, w.env.Srcs = n.sent, n.heard, n.srcs
 		w.env.Skip = skip
-		w.env.Sampler = nil // FlatParallel never batches (see finishFlatSetup)
 		w.env.Drew, w.env.Changed = false, false
 		w.senders = 0
 		w.active = false
 	}
-	n.flatParOps = ops
 	p.runPhase(phaseFlatEmit)
 	if err := p.takeError(); err != nil {
 		return err
@@ -132,19 +122,7 @@ func (n *Network) stepFlatParallel(ops FlatProtocol) *RunError {
 	}
 	n.applyNoise()
 	p.runPhase(phaseFlatUpdate)
-	if err := p.takeError(); err != nil {
-		return err
-	}
-	drew, changed := false, false
-	for i := range p.flat {
-		drew = drew || p.flat[i].env.Drew
-		changed = changed || p.flat[i].env.Changed
-	}
-	if !drew && !changed && n.flatQuiescer != nil && skip == nil && !n.noise.enabled() {
-		n.flatQuiescer.SnapshotState()
-		n.quiet = true
-	}
-	return nil
+	return p.takeError()
 }
 
 // flatKernelRange invokes one cohort-kernel stripe (phase "emit" or
@@ -162,9 +140,9 @@ func (n *Network) flatKernelRange(phase string, w *flatWorker, lo, hi int) (rerr
 		}
 	}()
 	if phase == "emit" {
-		n.flatParOps.EmitRange(&w.env, lo, hi)
+		n.flatOps.EmitRange(&w.env, lo, hi)
 	} else {
-		n.flatParOps.UpdateRange(&w.env, lo, hi)
+		n.flatOps.UpdateRange(&w.env, lo, hi)
 	}
 	return nil
 }

@@ -15,7 +15,7 @@ import (
 // Network is one executable instance of a protocol on a graph: the
 // machines, their private random streams, and double-buffered signal
 // arrays. A Network is not safe for concurrent use by multiple callers;
-// the concurrent engines synchronize internally.
+// the FlatParallel engine synchronizes its workers internally.
 type Network struct {
 	g graph.Topology
 	// csr is the materialized fast path: non-nil iff g is a
@@ -72,31 +72,23 @@ type Network struct {
 
 	// Flat-engine state (see flat.go): flatOps is the bound kernel
 	// handle (nil when the protocol has none or WithFlatKernels(false)
-	// was given), sampler the optional amortized Bernoulli sampler, and
-	// the bitsets are the reusable buffers of the delivery kernel.
-	flatOps      FlatProtocol
-	flatQuiescer FlatQuiescer
-	// flatParOps is the kernel handle the FlatParallel workers invoke;
-	// set by the coordinator before the first flat phase of each round
-	// (every publication is ordered by the pool's phase barrier).
-	flatParOps FlatProtocol
-	flatEnv    FlatEnv
-	quiet      bool
-	noFlat     bool
-	batched    bool
-	sampler    *rng.Batch
-	flatSkip   bitset.Set
-	sendBits   [2]bitset.Set
-	heardBits  [2]bitset.Set
+	// was given), and the bitsets are the reusable buffers of the
+	// delivery kernel. The FlatParallel workers read flatOps too; it
+	// only changes between rounds (Rewire), ordered by the pool's phase
+	// barrier.
+	flatOps   FlatProtocol
+	flatEnv   FlatEnv
+	noFlat    bool
+	flatSkip  bitset.Set
+	sendBits  [2]bitset.Set
+	heardBits [2]bitset.Set
 
-	// Sparse activity-gated round state (see sparse.go): the mode,
-	// the word-activity masks and their bookkeeping, the parallel
-	// kernel handle published before sparse phases (barrier-ordered
-	// like flatParOps), and the per-round activity statistics exposed
-	// to WithStatsObserver.
-	sparseMode    SparseMode
+	// Sparse activity-gated round state (see sparse.go): the
+	// word-activity masks and their bookkeeping, the
+	// ForceDeltaForTesting hook, and the per-round activity statistics
+	// exposed to WithStatsObserver.
 	sparse        sparseState
-	flatParSparse SparseFlatProtocol
+	forceDelta    bool
 	statsObs      func(round, active, frontierWords int)
 	roundActive   int
 	roundFrontier int
@@ -127,8 +119,8 @@ type Network struct {
 	failed *RunError
 
 	workers *workerPool
-	// reqWorkers is the WithWorkers override for the sharded engines
-	// (0 = GOMAXPROCS; validated non-negative at construction).
+	// reqWorkers is the WithWorkers override for FlatParallel (0 =
+	// GOMAXPROCS; validated non-negative at construction).
 	reqWorkers int
 	closed     bool
 }
@@ -148,14 +140,13 @@ func WithObserver(fn func(round int, sent, heard []Signal)) Option {
 	return func(n *Network) { n.observer = fn }
 }
 
-// WithWorkers sets the worker-goroutine count of the sharded engines
-// (Parallel and FlatParallel); 0, the default, means GOMAXPROCS. The
-// count is capped at the vertex count. Negative values are a
-// construction error. Sequential and Flat run no pool and ignore the
-// option; PerVertex always runs one goroutine per vertex (that IS the
-// engine) and ignores it too. Because every engine is trace-equivalent
-// by construction, the worker count never changes results — only
-// wall-clock time (see BENCH_parflat.json for the scaling table).
+// WithWorkers sets the worker-goroutine count of the FlatParallel
+// engine; 0, the default, means GOMAXPROCS. The count is capped at the
+// vertex count. Negative values are a construction error. Sequential
+// and Flat run no pool and ignore the option. Because every engine is
+// trace-equivalent by construction, the worker count never changes
+// results — only wall-clock time (see BENCH_parflat.json for the
+// scaling table).
 func WithWorkers(k int) Option {
 	return func(n *Network) { n.reqWorkers = k }
 }
@@ -237,31 +228,18 @@ func NewNetwork(g graph.Topology, proto Protocol, seed uint64, opts ...Option) (
 	if err := net.installAdversaries(); err != nil {
 		return nil, err
 	}
-	if err := net.finishFlatSetup(proto, seed); err != nil {
+	if err := net.finishFlatSetup(proto); err != nil {
 		return nil, err
 	}
-	if net.usesPool() {
+	if net.engine == FlatParallel {
 		net.workers = newWorkerPool(net, net.poolSize())
 	}
 	return net, nil
 }
 
-// usesPool reports whether the configured engine runs on the worker
-// pool (and therefore whether Rewire must rebuild it).
-func (n *Network) usesPool() bool {
-	return n.engine == Parallel || n.engine == PerVertex || n.engine == FlatParallel
-}
-
-// poolSize returns the number of worker goroutines for the configured
-// engine: one per vertex for PerVertex, and for the sharded engines the
+// poolSize returns the number of FlatParallel worker goroutines: the
 // WithWorkers override when given, one per available CPU otherwise.
 func (n *Network) poolSize() int {
-	if n.engine == PerVertex {
-		if n.N() < 1 {
-			return 1
-		}
-		return n.N()
-	}
 	if n.reqWorkers > 0 {
 		w := n.reqWorkers
 		if w > n.N() {
@@ -343,7 +321,7 @@ func (n *Network) Corrupt(vertices []int) error {
 
 // Step executes one synchronous round on the configured engine. It
 // panics if the network has been closed: Close is terminal (it tears
-// down the worker goroutines of the concurrent engines), and silently
+// down the FlatParallel worker goroutines), and silently
 // resurrecting a pool after Close hid lifecycle bugs in callers. If a
 // machine panics inside the round, Step re-panics with the typed
 // *RunError that TryStep would have returned — the barrier and the
@@ -375,35 +353,22 @@ func (n *Network) TryStep() error {
 	// overwrite these with the round's real frontier.
 	n.roundActive, n.roundFrontier = n.N(), (n.N()+63)>>6
 	n.ckRoundSparse = false
+	// Every kernel-capable round runs the activity-gated sparse path
+	// (which itself falls back to dense delivery, or to the dense
+	// kernels on fault-model rounds; see sparse.go). The flat kernels
+	// are the sequential semantics without per-vertex dispatch, so
+	// Sequential upgrades transparently whenever the protocol provides
+	// them. FlatParallel requires the kernels at construction, but a
+	// Rewire can drop the bulk handle (non-codec machine cohorts); the
+	// reference loop is trace-equivalent, so it falls back to it.
 	var rerr *RunError
-	switch n.engine {
-	case Parallel, PerVertex:
-		rerr = n.stepParallel()
-	case FlatParallel:
-		// Construction requires the kernels, but a Rewire can drop the
-		// bulk handle (non-codec machine cohorts); the interface-loop
-		// pool remains trace-equivalent, so fall back to it.
-		if so := n.sparseOps(); so != nil {
-			rerr = n.stepFlatParallelSparse(so)
-		} else if n.flatOps != nil {
-			rerr = n.stepFlatParallel(n.flatOps)
-		} else {
-			rerr = n.stepParallel()
-		}
+	switch {
+	case n.flatOps == nil:
+		rerr = n.stepSequential()
+	case n.engine == FlatParallel:
+		rerr = n.stepFlatParallelSparse()
 	default:
-		// Sequential and Flat: the flat kernels are the sequential
-		// semantics without per-vertex dispatch, so Sequential upgrades
-		// transparently whenever the protocol provides them (traces are
-		// bit-identical; see flat.go), and both run the activity-gated
-		// sparse path on top unless WithSparse(SparseOff) was given
-		// (also bit-identical; see sparse.go).
-		if so := n.sparseOps(); so != nil {
-			rerr = n.stepFlatSparse(so)
-		} else if n.flatOps != nil {
-			rerr = n.stepFlat(n.flatOps)
-		} else {
-			rerr = n.stepSequential()
-		}
+		rerr = n.stepFlatSparse()
 	}
 	if rerr != nil {
 		n.failed = rerr
@@ -430,11 +395,10 @@ func (n *Network) TryStep() error {
 // or nil if every round so far completed.
 func (n *Network) Failed() *RunError { return n.failed }
 
-// emitRange runs the emit phase for vertices [lo, hi), containing
-// machine panics: a panicking Emit is converted into a *RunError naming
-// the vertex and the remaining vertices of the range are skipped. The
-// recovery happens inside this frame, so concurrent-engine workers
-// return normally and still join their barrier.
+// emitRange runs the reference emit phase for vertices [lo, hi),
+// containing machine panics: a panicking Emit is converted into a
+// *RunError naming the vertex and the remaining vertices of the range
+// are skipped.
 func (n *Network) emitRange(lo, hi int) (rerr *RunError) {
 	v := lo
 	defer func() {
@@ -547,10 +511,10 @@ func (n *Network) deliverRange(lo, hi int, buf []int32) {
 	}
 }
 
-// Close releases the worker goroutines of the concurrent engines and
-// makes the network terminal: any subsequent Step panics. It is safe to
-// call multiple times (later calls are no-ops); for the sequential
-// engine it only marks the network closed.
+// Close releases the FlatParallel worker goroutines and makes the
+// network terminal: any subsequent Step panics. It is safe to call
+// multiple times (later calls are no-ops); for the single-goroutine
+// engines it only marks the network closed.
 func (n *Network) Close() {
 	if n.workers != nil {
 		n.workers.close()
@@ -562,21 +526,15 @@ func (n *Network) Close() {
 // Closed reports whether Close has been called.
 func (n *Network) Closed() bool { return n.closed }
 
-// workerPool runs the three phases of a round (emit, deliver, update)
-// over vertex shards with persistent goroutines and a generation-based
+// workerPool runs the phases of a FlatParallel round over 64-aligned
+// vertex stripes with persistent goroutines and a generation-based
 // (sense-reversing) barrier between phases: the coordinator publishes
 // each phase by bumping a generation counter and broadcasting once, and
 // each worker joins the barrier with a single atomic decrement — the
 // last one signals completion. That is one wakeup plus one atomic join
-// per worker per phase, replacing the previous three channel operations
-// per shard per phase, which dominated round cost for fine shards.
-//
-// The Parallel engine uses one shard per CPU; the PerVertex engine uses
-// one single-vertex shard per vertex, i.e. a long-lived goroutine per
-// simulated processor, the direct Go realization of the model. Because
-// every vertex consumes only its own random stream and phases are
-// barrier-separated, all engines produce identical traces for a fixed
-// seed.
+// per worker per phase. Because every vertex consumes only its own
+// random stream and phases are barrier-separated, the striped rounds
+// produce the same trace as the single-goroutine engines.
 type workerPool struct {
 	net    *Network
 	shards [][2]int
@@ -595,10 +553,9 @@ type workerPool struct {
 	// error after the phase completes on every shard.
 	failed atomic.Pointer[RunError]
 
-	// flat holds the per-worker state of the FlatParallel engine (one
-	// entry per shard, nil for the other engines): the worker's private
-	// FlatEnv, its scatter scratch masks and its pack count. See
-	// flatparallel.go.
+	// flat holds the per-worker state (one entry per shard): the
+	// worker's private FlatEnv, its scatter scratch masks and its pack
+	// count. See flatparallel.go.
 	flat []flatWorker
 
 	// bufs are the per-shard neighbor scratch rows for synthesizing
@@ -621,10 +578,7 @@ func (p *workerPool) rowBuf(i int) []int32 {
 }
 
 const (
-	phaseEmit = iota
-	phaseDeliver
-	phaseUpdate
-	phaseExit
+	phaseExit = iota
 	// Flat-parallel phases (see flatparallel.go): cohort-kernel stripes
 	// for emit/update, word-range sender packing, per-worker scatter,
 	// word-range-ownership merge + compose, and the dense gather
@@ -645,18 +599,11 @@ func newWorkerPool(net *Network, workers int) *workerPool {
 	p := &workerPool{net: net, done: make(chan struct{})}
 	p.cond = sync.NewCond(&p.mu)
 	n := net.N()
-	per := (n + workers - 1) / workers
-	// Pad shard boundaries to cache-line multiples (64 signals = 64
-	// bytes) so adjacent shards never write the same line of the
-	// sent/heard arrays. Single-vertex shards (PerVertex) are left
-	// alone: padding them would collapse the per-vertex model. The
-	// flat-parallel engine additionally NEEDS 64-alignment — its pack
-	// and merge phases own whole 64-bit words of the sender/heard
-	// bitsets per stripe — so its shards are padded even when a shard
-	// would cover fewer than 64 vertices.
-	if per > 1 || net.engine == FlatParallel {
-		per = (per + 63) &^ 63
-	}
+	// Pad shard boundaries to 64-vertex multiples: the pack and merge
+	// phases own whole 64-bit words of the sender/heard bitsets per
+	// stripe, and adjacent stripes never write the same cache line of
+	// the sent/heard arrays (64 signals = 64 bytes).
+	per := ((n+workers-1)/workers + 63) &^ 63
 	for lo := 0; lo < n; lo += per {
 		hi := lo + per
 		if hi > n {
@@ -664,9 +611,7 @@ func newWorkerPool(net *Network, workers int) *workerPool {
 		}
 		p.shards = append(p.shards, [2]int{lo, hi})
 	}
-	if net.engine == FlatParallel {
-		p.flat = make([]flatWorker, len(p.shards))
-	}
+	p.flat = make([]flatWorker, len(p.shards))
 	p.bufs = make([][]int32, len(p.shards))
 	for i := range p.shards {
 		go p.worker(i)
@@ -674,9 +619,9 @@ func newWorkerPool(net *Network, workers int) *workerPool {
 	return p
 }
 
-// worker waits (blocking, not spinning — the PerVertex engine runs far
-// more shards than CPUs) for each new generation, executes its shard's
-// slice of the published phase, and joins the barrier.
+// worker waits (blocking, not spinning) for each new generation,
+// executes its shard's slice of the published phase, and joins the
+// barrier.
 func (p *workerPool) worker(i int) {
 	lo, hi := p.shards[i][0], p.shards[i][1]
 	net := p.net
@@ -691,16 +636,6 @@ func (p *workerPool) worker(i int) {
 		p.mu.Unlock()
 
 		switch phase {
-		case phaseEmit:
-			if err := net.emitRange(lo, hi); err != nil {
-				p.failed.CompareAndSwap(nil, err)
-			}
-		case phaseDeliver:
-			net.deliverRange(lo, hi, p.rowBuf(i))
-		case phaseUpdate:
-			if err := net.updateRange(lo, hi); err != nil {
-				p.failed.CompareAndSwap(nil, err)
-			}
 		case phaseFlatEmit:
 			if err := net.flatKernelRange("emit", &p.flat[i], lo, hi); err != nil {
 				p.failed.CompareAndSwap(nil, err)
@@ -761,17 +696,4 @@ func (p *workerPool) close() {
 // phase that just completed.
 func (p *workerPool) takeError() *RunError {
 	return p.failed.Swap(nil)
-}
-
-func (n *Network) stepParallel() *RunError {
-	n.drawSleep()
-	n.drawAdversaries()
-	n.workers.runPhase(phaseEmit)
-	if err := n.workers.takeError(); err != nil {
-		return err
-	}
-	n.workers.runPhase(phaseDeliver)
-	n.applyNoise()
-	n.workers.runPhase(phaseUpdate)
-	return n.workers.takeError()
 }

@@ -109,15 +109,15 @@ func TestNoiseDeterministicAcrossEngines(t *testing.T) {
 	g := graph.GNP(50, 0.1, nil2src(9))
 	noise := Noise{PLoss: 0.1, PFalse: 0.05}
 	var ref [][]Signal
-	for _, engine := range []Engine{Sequential, Parallel, PerVertex} {
+	for _, e := range engineRows {
 		var tr [][]Signal
-		net, err := NewNetwork(g, probeProtocol{}, 11,
-			WithEngine(engine), WithNoise(noise),
+		net, err := NewNetwork(g, coinKernels, 11, append(e.opts,
+			WithNoise(noise),
 			WithObserver(func(_ int, _, heard []Signal) {
 				row := make([]Signal, len(heard))
 				copy(row, heard)
 				tr = append(tr, row)
-			}))
+			}))...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,7 +132,7 @@ func TestNoiseDeterministicAcrossEngines(t *testing.T) {
 		for r := range ref {
 			for v := range ref[r] {
 				if ref[r][v] != tr[r][v] {
-					t.Fatalf("engine %v diverged under noise at round %d vertex %d", engine, r+1, v)
+					t.Fatalf("%s diverged under noise at round %d vertex %d", e.name, r+1, v)
 				}
 			}
 		}

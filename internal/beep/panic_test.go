@@ -58,79 +58,77 @@ func (m *panicMachine) DecodeState(s []int64) error {
 }
 
 // TestEnginePanicContainment injects a machine whose Step panics at a
-// known (vertex, round, phase) on each engine and asserts: TryStep
-// returns a typed *RunError naming the failure, the error is sticky,
-// Close neither deadlocks nor panics (the sense-reversing barrier was
-// not orphaned), and a subsequent network on the same protocol value
-// runs unaffected.
+// known (vertex, round, phase) on the reference loop and asserts:
+// TryStep returns a typed *RunError naming the failure, the error is
+// sticky, Close neither deadlocks nor panics, and a subsequent network
+// on the same protocol value runs unaffected. The flat engines' kernel
+// panics are pinned by the two tests below.
 func TestEnginePanicContainment(t *testing.T) {
 	g := graph.GNP(25, 0.2, rng.New(6))
-	for _, engine := range []Engine{Sequential, Parallel, PerVertex} {
-		for _, phase := range []string{"emit", "update"} {
-			t.Run(engine.String()+"/"+phase, func(t *testing.T) {
-				proto := panicProtocol{vertex: 13, round: 4, phase: phase}
-				net, err := NewNetwork(g, proto, 1, WithEngine(engine))
-				if err != nil {
-					t.Fatal(err)
-				}
+	const engine = Sequential
+	for _, phase := range []string{"emit", "update"} {
+		t.Run(engine.String()+"/"+phase, func(t *testing.T) {
+			proto := panicProtocol{vertex: 13, round: 4, phase: phase}
+			net, err := NewNetwork(g, proto, 1, WithEngine(engine))
+			if err != nil {
+				t.Fatal(err)
+			}
 
-				var stepErr error
-				for r := 1; r <= 10; r++ {
-					if stepErr = net.TryStep(); stepErr != nil {
-						break
-					}
+			var stepErr error
+			for r := 1; r <= 10; r++ {
+				if stepErr = net.TryStep(); stepErr != nil {
+					break
 				}
-				var rerr *RunError
-				if !errors.As(stepErr, &rerr) {
-					t.Fatalf("%v: got %v, want *RunError", engine, stepErr)
-				}
-				if rerr.Vertex != 13 || rerr.Round != 4 || rerr.Phase != phase || rerr.Engine != engine {
-					t.Fatalf("RunError = vertex %d round %d phase %q engine %v, want 13/4/%q/%v",
-						rerr.Vertex, rerr.Round, rerr.Phase, rerr.Engine, phase, engine)
-				}
-				if rerr.Recovered != "injected "+phase+" fault" {
-					t.Fatalf("recovered value %v", rerr.Recovered)
-				}
-				if len(rerr.Stack) == 0 {
-					t.Fatal("no stack captured")
-				}
+			}
+			var rerr *RunError
+			if !errors.As(stepErr, &rerr) {
+				t.Fatalf("%v: got %v, want *RunError", engine, stepErr)
+			}
+			if rerr.Vertex != 13 || rerr.Round != 4 || rerr.Phase != phase || rerr.Engine != engine {
+				t.Fatalf("RunError = vertex %d round %d phase %q engine %v, want 13/4/%q/%v",
+					rerr.Vertex, rerr.Round, rerr.Phase, rerr.Engine, phase, engine)
+			}
+			if rerr.Recovered != "injected "+phase+" fault" {
+				t.Fatalf("recovered value %v", rerr.Recovered)
+			}
+			if len(rerr.Stack) == 0 {
+				t.Fatal("no stack captured")
+			}
 
-				// Sticky: the poisoned network refuses further rounds.
-				if err := net.TryStep(); err != rerr {
-					t.Fatalf("second TryStep returned %v, want the original *RunError", err)
-				}
-				if net.Failed() != rerr {
-					t.Fatalf("Failed() = %v, want the original *RunError", net.Failed())
-				}
-				// Checkpointing a mid-phase torso is refused.
-				if _, err := net.Checkpoint(); err == nil {
-					t.Fatal("checkpoint of a failed network accepted")
-				}
+			// Sticky: the poisoned network refuses further rounds.
+			if err := net.TryStep(); err != rerr {
+				t.Fatalf("second TryStep returned %v, want the original *RunError", err)
+			}
+			if net.Failed() != rerr {
+				t.Fatalf("Failed() = %v, want the original *RunError", net.Failed())
+			}
+			// Checkpointing a mid-phase torso is refused.
+			if _, err := net.Checkpoint(); err == nil {
+				t.Fatal("checkpoint of a failed network accepted")
+			}
 
-				// Close must return promptly: the panicking worker joined
-				// the barrier before unwinding, so the pool is intact.
-				closed := make(chan struct{})
-				go func() { net.Close(); close(closed) }()
-				select {
-				case <-closed:
-				case <-time.After(5 * time.Second):
-					t.Fatalf("%v: Close deadlocked after a contained panic", engine)
-				}
+			// Close must return promptly after a contained panic.
+			closed := make(chan struct{})
+			go func() { net.Close(); close(closed) }()
+			select {
+			case <-closed:
+			case <-time.After(5 * time.Second):
+				t.Fatalf("%v: Close deadlocked after a contained panic", engine)
+			}
 
-				// A fresh network on a healthy configuration of the same
-				// shape is unaffected by the earlier failure.
-				clean, err := NewNetwork(g, panicProtocol{vertex: -1}, 2, WithEngine(engine))
-				if err != nil {
-					t.Fatal(err)
+			// A fresh network on a healthy configuration of the same
+			// shape is unaffected by the earlier failure.
+			clean, err := NewNetwork(g, panicProtocol{vertex: -1}, 2, WithEngine(engine))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer clean.Close()
+			for r := 0; r < 10; r++ {
+				if err := clean.TryStep(); err != nil {
+					t.Fatalf("clean network failed: %v", err)
 				}
-				defer clean.Close()
-				for r := 0; r < 10; r++ {
-					if err := clean.TryStep(); err != nil {
-						t.Fatalf("clean network failed: %v", err)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -173,9 +171,10 @@ func TestTryStepClosed(t *testing.T) {
 
 // flatPanicProtocol is panicProtocol's flat-kernel sibling: its bulk
 // handle implements FlatProtocol and panics inside the chosen cohort
-// pass (EmitAll or UpdateAll) at the chosen round, so the containment
-// contract can be pinned on the Flat engine too, where the panic has no
-// owning vertex (RunError.Vertex == -1).
+// pass (emit or update) at the chosen round, so the containment
+// contract can be pinned on the flat engines too, where the panic has
+// no owning vertex (RunError.Vertex == -1). A negative round never
+// panics (see coinKernels).
 type flatPanicProtocol struct {
 	round int64
 	phase string // "emit" or "update"
@@ -237,6 +236,24 @@ func (o *flatPanicOps) UpdateRange(env *FlatEnv, lo, hi int) {
 	if o.proto.phase == "update" && o.round == o.proto.round {
 		panic("injected update fault")
 	}
+}
+
+// EmitSparse runs every vertex of [lo, hi) and reports every word as
+// drawn: the machines flip a coin each round, so no word ever leaves
+// the frontier. Like EmitAll, a whole-cohort call advances the round
+// counter and a stripe call does not.
+func (o *flatPanicOps) EmitSparse(env *FlatEnv, act, drewW []uint64, lo, hi int) {
+	if lo == 0 && hi == len(env.Sent) {
+		o.round++
+	}
+	o.EmitRange(env, lo, hi)
+	for wi := lo >> 6; wi < (hi+63)>>6; wi++ {
+		drewW[wi>>6] |= 1 << uint(wi&63)
+	}
+}
+
+func (o *flatPanicOps) UpdateSparse(env *FlatEnv, upd, changedW []uint64, lo, hi int) {
+	o.UpdateRange(env, lo, hi)
 }
 
 // TestFlatEnginePanicContainment mirrors TestEnginePanicContainment for

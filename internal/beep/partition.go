@@ -3,7 +3,6 @@ package beep
 import (
 	"fmt"
 	"math/bits"
-	"runtime/debug"
 )
 
 // This file exports the partition hooks of the distributed engine
@@ -14,14 +13,8 @@ import (
 // cheap, the rounds are the cost), then steps only its own range; the
 // per-vertex private streams guarantee that the union of the ranges
 // reproduces the single-process execution bit for bit, exactly the
-// determinism argument of the FlatParallel engine (see flat.go).
-//
-// A round of a partitioned execution is:
-//
-//	drew := p.EmitLocal()            // kernels fill sent[lo:hi), pack sender words
-//	words := p.SenderWords(c)        // upload: bits of [lo, hi) only
-//	p.SetSenderWord(c, wi, merged)   // download: coordinator-merged words
-//	changed := p.UpdateLocal()       // gather heard[lo:hi), kernels update, round++
+// determinism argument of the FlatParallel engine (see flat.go). The
+// round protocol is the delta exchange of partition_sparse.go.
 //
 // Ranges need not be 64-aligned: each partition packs only its own
 // vertices' bits (foreign bits of shared edge words stay zero), so the
@@ -29,20 +22,19 @@ import (
 // exact global sender bitset.
 //
 // Partitioned execution excludes the fault models that consume shared
-// sequential randomness (noise, sleep, adversaries) and the batched
-// sampler: their draw order is a whole-network sequence that vertex
-// ranges cannot consume independently. Partition refuses to construct
-// when any of them is enabled.
+// sequential randomness (noise, sleep, adversaries): their draw order is
+// a whole-network sequence that vertex ranges cannot consume
+// independently. Partition refuses to construct when any of them is
+// enabled.
 
 // Partition is a [lo, hi) execution window over a Network, created by
 // Network.Partition. It is not safe for concurrent use.
 type Partition struct {
 	net    *Network
 	lo, hi int
-	// words are the per-channel sender bitsets of the round, full
-	// word-length arrays: EmitLocal packs the partition's own bits,
-	// SetSenderWord installs coordinator-merged words, and UpdateLocal
-	// gathers heard signals from them.
+	// words are the coordinator-merged GLOBAL per-channel sender
+	// bitsets, full word-length arrays maintained by ApplyDeltaWord;
+	// UpdateLocalSparse gathers heard signals from them.
 	words  [2][]uint64
 	env    FlatEnv
 	rowBuf []int32
@@ -53,17 +45,17 @@ type Partition struct {
 	// (machine or stream) may have moved since the last
 	// ExportStateDelta: one bit per slab word over the global word
 	// index space, the same shape as the sparse masks. ckDirtyAll is
-	// the conservative everything-dirty flag, set at creation, by every
-	// dense round, and by any restore (see MarkAllStateDirty) — the
-	// partition-side twin of the Network's dirtyState invariant.
+	// the conservative everything-dirty flag, set at creation and by any
+	// restore (see MarkAllStateDirty) — the partition-side twin of the
+	// Network's dirtyState invariant.
 	ckDirty    []uint64
 	ckDirtyAll bool
 }
 
 // Partition creates the execution window for vertices [lo, hi). It
 // requires the flat kernels (like the Flat engine) and rejects networks
-// with noise, sleep, adversaries or batched sampling enabled: those
-// draw from shared sequential streams that partitions cannot split.
+// with noise, sleep or adversaries enabled: those draw from shared
+// sequential streams that partitions cannot split.
 func (n *Network) Partition(lo, hi int) (*Partition, error) {
 	if n.closed {
 		return nil, fmt.Errorf("beep: Partition on closed Network")
@@ -73,9 +65,6 @@ func (n *Network) Partition(lo, hi int) (*Partition, error) {
 	}
 	if n.flatOps == nil {
 		return nil, fmt.Errorf("beep: Partition requires flat kernels, but %T's bulk state (%T) does not implement FlatProtocol", n.proto, n.bulk)
-	}
-	if n.sampler != nil {
-		return nil, fmt.Errorf("beep: Partition with batched sampling enabled: the sampler is one shared sequential stream")
 	}
 	if n.noise.enabled() || n.sleep.enabled() || n.advCount > 0 {
 		return nil, fmt.Errorf("beep: Partition with noise/sleep/adversaries enabled: fault-model draws are a whole-network sequence")
@@ -98,146 +87,10 @@ func (p *Partition) Range() (lo, hi int) { return p.lo, p.hi }
 // Channels returns the protocol's channel count (1 or 2).
 func (p *Partition) Channels() int { return p.net.channels }
 
-// EmitLocal runs the emit kernel for the partition's range and packs
-// the resulting sender bits into the partition's word arrays. It
-// reports whether the kernel consumed randomness. A kernel panic is
-// contained into a *RunError and poisons the network like TryStep.
-func (p *Partition) EmitLocal() (drew bool, err error) {
-	n := p.net
-	if n.closed {
-		return false, ErrClosed
-	}
-	if n.failed != nil {
-		return false, n.failed
-	}
-	env := &p.env
-	env.Sent, env.Heard, env.Srcs = n.sent, n.heard, n.srcs
-	env.Skip, env.Sampler = nil, nil
-	env.Drew, env.Changed = false, false
-	if rerr := p.runKernel("emit"); rerr != nil {
-		n.failed = rerr
-		return false, rerr
-	}
-	for c := 0; c < n.channels; c++ {
-		p.packRange(c)
-	}
-	return env.Drew, nil
-}
-
-// packRange writes the channel-c sender bits of [lo, hi) into the
-// partition's word array, zeroing every other bit of the touched words
-// so adjacent partitions' uploads OR cleanly at the coordinator.
-func (p *Partition) packRange(c int) {
-	if p.lo == p.hi {
-		return
-	}
-	words := p.words[c]
-	for wi := p.lo >> 6; wi <= (p.hi-1)>>6; wi++ {
-		words[wi] = 0
-	}
-	mask := Signal(1) << uint(c)
-	sent := p.net.sent
-	for v := p.lo; v < p.hi; v++ {
-		if sent[v]&mask != 0 {
-			words[v>>6] |= 1 << uint(v&63)
-		}
-	}
-}
-
-// SenderWords returns the partition's channel-c sender word array (full
-// word length; only bits of [lo, hi) are set by EmitLocal). The slice
-// aliases partition storage and is overwritten by SetSenderWord and the
-// next EmitLocal.
-func (p *Partition) SenderWords(c int) []uint64 { return p.words[c] }
-
-// SetSenderWord installs a coordinator-merged sender word. UpdateLocal
-// reads whatever the words hold, so the caller must install every word
-// that contains a neighbor of the range before updating.
-func (p *Partition) SetSenderWord(c, wi int, w uint64) { p.words[c][wi] = w }
-
-// UpdateLocal gathers heard[lo:hi) from the installed sender words,
-// runs the update kernel for the range, and advances the network's
-// round counter. It reports whether any machine state changed. Kernel
-// panics are contained like EmitLocal.
-func (p *Partition) UpdateLocal() (changed bool, err error) {
-	n := p.net
-	if n.closed {
-		return false, ErrClosed
-	}
-	if n.failed != nil {
-		return false, n.failed
-	}
-	p.gatherHeard()
-	if rerr := p.runKernel("update"); rerr != nil {
-		n.failed = rerr
-		return false, rerr
-	}
-	// A dense round runs the kernels over the whole range: every own
-	// word may have drawn or changed.
-	p.ckDirtyAll = true
-	n.round++
-	return p.env.Changed, nil
-}
-
-// gatherHeard computes heard[v] for v in [lo, hi) by testing neighbor
-// bits in the installed sender words — the word-level sibling of
-// Network.deliverRange, with the same early exit once every channel has
-// been heard.
-func (p *Partition) gatherHeard() {
-	n := p.net
-	full := n.fullMask
-	heard := n.heard
-	w0 := p.words[0]
-	var w1 []uint64
-	if n.channels == 2 {
-		w1 = p.words[1]
-	}
-	for v := p.lo; v < p.hi; v++ {
-		var row []int32
-		if n.csr != nil {
-			row = n.csr.Neighbors(v)
-		} else {
-			row = n.g.NeighborsInto(v, p.rowBuf)
-		}
-		var h Signal
-		for _, u := range row {
-			sh := uint(u) & 63
-			h |= Signal((w0[u>>6] >> sh) & 1)
-			if w1 != nil {
-				h |= Signal((w1[u>>6]>>sh)&1) << 1
-			}
-			if h == full {
-				break
-			}
-		}
-		heard[v] = h
-	}
-}
-
-// runKernel invokes one cohort kernel over the partition's range with
-// the same panic containment contract as the engines. The kernels
-// process the range as a whole, so the error cannot name the vertex.
-func (p *Partition) runKernel(phase string) (rerr *RunError) {
-	n := p.net
-	defer func() {
-		if r := recover(); r != nil {
-			rerr = &RunError{
-				Vertex: -1, Round: n.round + 1, Phase: phase,
-				Engine: n.engine, Recovered: r, Stack: debug.Stack(),
-			}
-		}
-	}()
-	if phase == "emit" {
-		n.flatOps.EmitRange(&p.env, p.lo, p.hi)
-	} else {
-		n.flatOps.UpdateRange(&p.env, p.lo, p.hi)
-	}
-	return nil
-}
-
 // Signals returns the network's sent and heard arrays. Only the
-// partition's own range is maintained by EmitLocal/UpdateLocal; foreign
-// entries are stale. The slices alias network storage.
+// partition's own range is maintained by EmitLocalSparse and
+// UpdateLocalSparse; foreign entries are stale. The slices alias
+// network storage.
 func (p *Partition) Signals() (sent, heard []Signal) { return p.net.sent, p.net.heard }
 
 // ExportRangeState returns the machine and stream states of vertices
@@ -294,7 +147,7 @@ func (p *Partition) DirtyStateWords() int {
 
 // ExportStateDelta exports the machine and stream states of every
 // vertex whose slab word was dirtied since the previous export (the
-// whole range after creation, a dense round, or MarkAllStateDirty),
+// whole range after creation or MarkAllStateDirty),
 // then rebaselines: the next export accumulates from here. Verts is
 // ascending and bounded to [lo, hi) — boundary words shared with an
 // adjacent partition export disjoint vertex sets, so a coordinator can

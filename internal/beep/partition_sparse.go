@@ -6,12 +6,12 @@ import (
 	"runtime/debug"
 )
 
-// This file adds the sparse (delta) round path to Partition, the
-// distributed engine's execution window. The single-process sparse
-// engine (sparse.go) gates the kernels on per-word activity masks and
-// delivers heard deltas by re-gathering only the words touched by
-// flipped senders; here the same invariants are split across the
-// coordinator exchange:
+// This file implements the round protocol of Partition, the
+// distributed engine's execution window: the sparse (delta) exchange.
+// The single-process sparse engine (sparse.go) gates the kernels on
+// per-word activity masks and delivers heard deltas by re-gathering
+// only the words touched by flipped senders; here the same invariants
+// are split across the coordinator exchange:
 //
 //	drew := p.EmitLocalSparse()          // kernels over active own words,
 //	                                     // pack + diff vs the own baseline
@@ -42,7 +42,6 @@ import (
 // downloads can mark foreign-edge words directly); only bits of the
 // partition's own words [wlo, whi] are ever set.
 type partSparse struct {
-	ops SparseFlatProtocol
 	// wlo/whi bound the partition's slab words (inclusive; whi < wlo for
 	// an empty range) and ownWords counts them.
 	wlo, whi, ownWords int
@@ -69,19 +68,14 @@ type partSparse struct {
 	upVal [2][]uint64
 }
 
-// EnableSparse switches the partition to the sparse round protocol
-// (EmitLocalSparse / SparseUpload / ApplyDeltaWord / UpdateLocalSparse).
-// It fails when the bound kernels do not implement SparseFlatProtocol.
-// The initial state is fully reset (see ResetSparse).
-func (p *Partition) EnableSparse() error {
+// EnableSparse allocates the partition's round state (EmitLocalSparse /
+// SparseUpload / ApplyDeltaWord / UpdateLocalSparse) and resets it to
+// the base case (see ResetSparse). Call it once before the first round.
+func (p *Partition) EnableSparse() {
 	n := p.net
-	so, ok := n.flatOps.(SparseFlatProtocol)
-	if !ok {
-		return fmt.Errorf("beep: sparse partition rounds need sparse kernels, but %T does not implement SparseFlatProtocol", n.flatOps)
-	}
 	words := (n.N() + 63) >> 6
 	mw := (words + 63) >> 6
-	sp := &partSparse{ops: so, wlo: 0, whi: -1}
+	sp := &partSparse{wlo: 0, whi: -1}
 	if p.lo < p.hi {
 		sp.wlo, sp.whi = p.lo>>6, (p.hi-1)>>6
 		sp.ownWords = sp.whi - sp.wlo + 1
@@ -98,7 +92,6 @@ func (p *Partition) EnableSparse() error {
 	}
 	p.sparse = sp
 	p.ResetSparse()
-	return nil
 }
 
 // ResetSparse rewinds the sparse state to the base case: every own word
@@ -142,8 +135,8 @@ func (sp *partSparse) materializeAll() {
 // words, re-packs them, and records the upload delta (the own words
 // whose packed sender bits changed). An empty frontier is a local fixed
 // point: no kernel runs, no stream moves, and the upload is empty. It
-// reports whether the kernel consumed randomness, with the same panic
-// containment as EmitLocal.
+// reports whether the kernel consumed randomness. A kernel panic is
+// contained into a *RunError and poisons the network like TryStep.
 func (p *Partition) EmitLocalSparse() (drew bool, err error) {
 	n := p.net
 	if n.closed {
@@ -161,7 +154,7 @@ func (p *Partition) EmitLocalSparse() (drew bool, err error) {
 	}
 	env := &p.env
 	env.Sent, env.Heard, env.Srcs = n.sent, n.heard, n.srcs
-	env.Skip, env.Sampler = nil, nil
+	env.Skip = nil
 	env.Drew, env.Changed = false, false
 	clearMask(sp.drewW)
 	for c := 0; c < n.channels; c++ {
@@ -273,7 +266,7 @@ func (p *Partition) ApplyDeltaWord(c, wi int, w uint64) {
 // update kernel over act ∪ touched, advances the frontier to
 // drewW | changedW, and increments the round counter. It reports
 // whether any machine state changed, with the same panic containment as
-// UpdateLocal.
+// EmitLocalSparse.
 func (p *Partition) UpdateLocalSparse() (changed bool, err error) {
 	n := p.net
 	if n.closed {
@@ -331,9 +324,8 @@ func (p *Partition) FrontierWords() int {
 }
 
 // gatherHeardWords recomputes heard[v] for every own vertex of every
-// marked slab word by probing neighbor bits in the merged sender words
-// — the word-gated sibling of gatherHeard, with the same full-mask
-// early exit.
+// marked slab word by probing neighbor bits in the merged sender words,
+// with the same full-mask early exit as Network.deliverRange.
 func (p *Partition) gatherHeardWords(mask []uint64) {
 	n := p.net
 	full := n.fullMask
@@ -380,7 +372,9 @@ func (p *Partition) gatherHeardWords(mask []uint64) {
 }
 
 // runSparseKernel invokes one sparse cohort kernel over the partition's
-// range with the same panic containment contract as runKernel.
+// range with the same panic containment contract as the engines. The
+// kernels process the range as a whole, so the error cannot name the
+// vertex.
 func (p *Partition) runSparseKernel(phase string) (rerr *RunError) {
 	n := p.net
 	sp := p.sparse
@@ -393,9 +387,9 @@ func (p *Partition) runSparseKernel(phase string) (rerr *RunError) {
 		}
 	}()
 	if phase == "emit" {
-		sp.ops.EmitSparse(&p.env, sp.act, sp.drewW, p.lo, p.hi)
+		n.flatOps.EmitSparse(&p.env, sp.act, sp.drewW, p.lo, p.hi)
 	} else {
-		sp.ops.UpdateSparse(&p.env, sp.updW, sp.changedW, p.lo, p.hi)
+		n.flatOps.UpdateSparse(&p.env, sp.updW, sp.changedW, p.lo, p.hi)
 	}
 	return nil
 }

@@ -145,18 +145,17 @@ func (n *Network) Rewire(g2 *graph.Graph, mapping []int) error {
 		n.advEpoch++ // topology changed: observers re-key their masks
 	}
 	n.bindFlatOps() // the slab was rebuilt (or dropped): re-derive the kernels
-	n.flatParOps = nil
 	if n.workers != nil {
 		n.workers.close()
 		n.workers = nil
 	}
-	if n.usesPool() {
-		// The pool is rebuilt for the new vertex count. For the
-		// flat-parallel engine this also rebuilds the per-worker stripe
-		// state (scatter masks, pack counters, kernel environments):
-		// stripe boundaries are a function of N, so stale stripes from
-		// the pre-churn topology must never survive a Rewire
-		// (regression-tested by TestFlatParallelRewireReseedBitExact).
+	if n.engine == FlatParallel {
+		// The pool is rebuilt for the new vertex count, together with
+		// the per-worker stripe state (scatter masks, pack counters,
+		// kernel environments): stripe boundaries are a function of N,
+		// so stale stripes from the pre-churn topology must never
+		// survive a Rewire (regression-tested by
+		// TestFlatParallelRewireReseedBitExact).
 		n.workers = newWorkerPool(n, n.poolSize())
 	}
 	return nil

@@ -98,15 +98,15 @@ func TestSleepSkipsUpdate(t *testing.T) {
 func TestSleepDeterministicAcrossEngines(t *testing.T) {
 	g := graph.GNP(40, 0.1, rng.New(9))
 	var ref [][]Signal
-	for _, engine := range []Engine{Sequential, Parallel, PerVertex} {
+	for _, e := range engineRows {
 		var tr [][]Signal
-		net, err := NewNetwork(g, probeProtocol{}, 11,
-			WithEngine(engine), WithSleep(Sleep{P: 0.2}),
+		net, err := NewNetwork(g, coinKernels, 11, append(e.opts,
+			WithSleep(Sleep{P: 0.2}),
 			WithObserver(func(_ int, sent, _ []Signal) {
 				row := make([]Signal, len(sent))
 				copy(row, sent)
 				tr = append(tr, row)
-			}))
+			}))...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,7 +121,7 @@ func TestSleepDeterministicAcrossEngines(t *testing.T) {
 		for r := range ref {
 			for v := range ref[r] {
 				if ref[r][v] != tr[r][v] {
-					t.Fatalf("engine %v diverged under sleep at round %d vertex %d", engine, r+1, v)
+					t.Fatalf("%s diverged under sleep at round %d vertex %d", e.name, r+1, v)
 				}
 			}
 		}

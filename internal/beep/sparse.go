@@ -1,7 +1,6 @@
 package beep
 
 import (
-	"fmt"
 	"math/bits"
 	"runtime/debug"
 )
@@ -39,65 +38,27 @@ import (
 // place. When many flipped (the transient phase), it falls back to the
 // dense scatter/gather kernel, which rewrites heard completely — the
 // measured crossover below mirrors GatherCrossoverFactor. Both paths
-// produce bit-identical heard arrays (pinned by the forced-sparse
+// produce bit-identical heard arrays (pinned by the forced-delta
 // equivalence matrices), so the choice is invisible to traces.
 //
 // Quiescence. An empty frontier is a proven fixed point, so the round
-// is elided in O(1) — replacing the FlatQuiescer's O(n) shadow
-// compare on this path. Fault models that perturb rounds externally
+// is elided in O(1). Fault models that perturb rounds externally
 // (sleep, adversaries, noise) disable the sparse path for the round:
 // the engine marks everything active and falls back to the dense step,
 // whose next sparse round then re-packs and re-delivers densely
 // (forceDense), restoring the heard/sender-bit invariants no matter
 // what the fault rounds did to them.
 
-// SparseMode selects how the flat engines use the sparse round path.
-type SparseMode uint8
-
-const (
-	// SparseAuto (the default) runs the sparse path whenever the
-	// protocol's kernels support it, choosing delta vs dense delivery
-	// per round by the measured crossover.
-	SparseAuto SparseMode = iota
-	// SparseOn forces delta delivery on every eligible round (dense
-	// only where correctness requires it); construction fails if the
-	// engine or protocol cannot run sparse. Used by the equivalence
-	// matrices to pin the delta path against the dense reference.
-	SparseOn
-	// SparseOff disables the sparse path entirely (legacy dense
-	// rounds).
-	SparseOff
-)
-
-// String returns the flag spelling of the mode.
-func (m SparseMode) String() string {
-	switch m {
-	case SparseAuto:
-		return "auto"
-	case SparseOn:
-		return "on"
-	case SparseOff:
-		return "off"
-	}
-	return fmt.Sprintf("SparseMode(%d)", uint8(m))
-}
-
-// ParseSparseMode parses the -sparse flag spellings.
-func ParseSparseMode(s string) (SparseMode, error) {
-	switch s {
-	case "auto":
-		return SparseAuto, nil
-	case "on":
-		return SparseOn, nil
-	case "off":
-		return SparseOff, nil
-	}
-	return SparseAuto, fmt.Errorf("beep: unknown sparse mode %q (want auto, on or off)", s)
-}
-
-// WithSparse selects the sparse-path mode (default SparseAuto).
-func WithSparse(m SparseMode) Option {
-	return func(n *Network) { n.sparseMode = m }
+// ForceDeltaForTesting is a test hook, not a configuration option: the
+// network it is given to takes the delta re-gather on every sparse
+// round whose delivery invariants are intact, instead of consulting the
+// crossover (a round right after an invalidation still delivers
+// densely, as correctness requires). The equivalence matrices use it to
+// pin the delta path against the reference loop on every round,
+// including the transient rounds where the crossover would pick dense
+// delivery. The trace is the same either way; only the work differs.
+func ForceDeltaForTesting() Option {
+	return func(n *Network) { n.forceDelta = true }
 }
 
 // WithStatsObserver installs a callback invoked after every round with
@@ -107,22 +68,6 @@ func WithSparse(m SparseMode) Option {
 // fixed-point rounds report zero.
 func WithStatsObserver(fn func(round, active, frontierWords int)) Option {
 	return func(n *Network) { n.statsObs = fn }
-}
-
-// SparseFlatProtocol is the optional extension of FlatProtocol whose
-// kernels can run activity-gated. act and upd are word-activity masks:
-// bit wi of act[wi/64] gates slab word wi (vertices [wi*64, wi*64+64)).
-// EmitSparse must behave exactly like EmitRange restricted to the
-// vertices of marked words, additionally setting the word's bit in
-// drewW iff any of its vertices consumed randomness; UpdateSparse
-// likewise, setting changedW word bits iff state moved. Both run only
-// on the fault-free path (env.Skip is nil by contract), and both must
-// leave unmarked words' bits in the output masks untouched beyond
-// never setting them (the engine clears the masks).
-type SparseFlatProtocol interface {
-	FlatProtocol
-	EmitSparse(env *FlatEnv, act, drewW []uint64, lo, hi int)
-	UpdateSparse(env *FlatEnv, upd, changedW []uint64, lo, hi int)
 }
 
 // SparseCrossoverFactor is the delta/dense crossover of the sparse
@@ -274,16 +219,6 @@ func maskSetAll(m []uint64, words int) {
 	}
 }
 
-// sparseOps returns the sparse kernel handle when the configured mode
-// and bound kernels allow the sparse path, nil otherwise.
-func (n *Network) sparseOps() SparseFlatProtocol {
-	if n.sparseMode == SparseOff || n.flatOps == nil {
-		return nil
-	}
-	so, _ := n.flatOps.(SparseFlatProtocol)
-	return so
-}
-
 // sparseFaulty reports whether a fault model perturbs rounds this
 // round, in which case the engine falls back to the dense step (after
 // conservatively invalidating the sparse state).
@@ -292,17 +227,17 @@ func (n *Network) sparseFaulty() bool {
 }
 
 // sparseUseDense decides this round's delivery: forced dense after an
-// invalidation, forced delta under SparseOn, crossover otherwise. On
-// every non-forced round it first materializes the touched-word mask
-// (the delta path's own first step), so the crossover compares the
-// delta re-gather's exact word count, not an estimate.
+// invalidation, forced delta under ForceDeltaForTesting, crossover
+// otherwise. On every non-forced round it first materializes the
+// touched-word mask (the delta path's own first step), so the crossover
+// compares the delta re-gather's exact word count, not an estimate.
 func (n *Network) sparseUseDense() bool {
 	s := &n.sparse
 	if s.forceDense {
 		return true
 	}
 	touched := n.sparseMarkTouched()
-	if n.sparseMode == SparseOn {
+	if n.forceDelta {
 		return false
 	}
 	return deltaWantsDense(touched, s.senders[0]+s.senders[1], n.avgDegree(), n.N())
@@ -310,13 +245,12 @@ func (n *Network) sparseUseDense() bool {
 
 // stepFlatSparse executes one activity-gated round on the sequential
 // flat engine. It is bit-identical to stepFlat for every round (pinned
-// by the forced-sparse equivalence matrices).
-func (n *Network) stepFlatSparse(ops SparseFlatProtocol) *RunError {
+// by the forced-delta equivalence matrices).
+func (n *Network) stepFlatSparse() *RunError {
 	if n.sparseFaulty() {
 		n.sparse.markAll()
-		return n.stepFlat(ops)
+		return n.stepFlat()
 	}
-	n.quiet = false
 	n.ckRoundSparse = true
 	N := n.N()
 	s := &n.sparse
@@ -335,10 +269,9 @@ func (n *Network) stepFlatSparse(ops SparseFlatProtocol) *RunError {
 	env := &n.flatEnv
 	env.Sent, env.Heard, env.Srcs = n.sent, n.heard, n.srcs
 	env.Skip = nil
-	env.Sampler = n.sampler
 	env.Drew, env.Changed = false, false
 	clearMask(s.drewW)
-	if err := n.runSparseKernel("emit", ops, env); err != nil {
+	if err := n.runSparseKernel("emit", env); err != nil {
 		return err
 	}
 	n.sparseRepack(recount)
@@ -373,7 +306,7 @@ func (n *Network) stepFlatSparse(ops SparseFlatProtocol) *RunError {
 	}
 	s.forceDense = false
 	clearMask(s.changedW)
-	if err := n.runSparseKernel("update", ops, env); err != nil {
+	if err := n.runSparseKernel("update", env); err != nil {
 		return err
 	}
 	cnt := 0
@@ -397,7 +330,7 @@ func (n *Network) stepFlatSparse(ops SparseFlatProtocol) *RunError {
 
 // runSparseKernel invokes one sparse cohort kernel with the same panic
 // containment contract as runFlatKernel.
-func (n *Network) runSparseKernel(phase string, ops SparseFlatProtocol, env *FlatEnv) (rerr *RunError) {
+func (n *Network) runSparseKernel(phase string, env *FlatEnv) (rerr *RunError) {
 	defer func() {
 		if r := recover(); r != nil {
 			rerr = &RunError{
@@ -408,9 +341,9 @@ func (n *Network) runSparseKernel(phase string, ops SparseFlatProtocol, env *Fla
 	}()
 	s := &n.sparse
 	if phase == "emit" {
-		ops.EmitSparse(env, s.act, s.drewW, 0, n.N())
+		n.flatOps.EmitSparse(env, s.act, s.drewW, 0, n.N())
 	} else {
-		ops.UpdateSparse(env, s.updW, s.changedW, 0, n.N())
+		n.flatOps.UpdateSparse(env, s.updW, s.changedW, 0, n.N())
 	}
 	return nil
 }
@@ -589,12 +522,11 @@ func (n *Network) sparseGatherWords(mask []uint64) {
 // flip scatter, delta re-gather — runs on the coordinator, where it is
 // cheaper than two more barriers. Dense-delivery rounds reuse the
 // dense engine's pack/scatter/merge/gather phases unchanged.
-func (n *Network) stepFlatParallelSparse(ops SparseFlatProtocol) *RunError {
+func (n *Network) stepFlatParallelSparse() *RunError {
 	if n.sparseFaulty() {
 		n.sparse.markAll()
-		return n.stepFlatParallel(ops)
+		return n.stepFlatParallel()
 	}
-	n.quiet = false
 	n.ckRoundSparse = true
 	N := n.N()
 	s := &n.sparse
@@ -614,7 +546,6 @@ func (n *Network) stepFlatParallelSparse(ops SparseFlatProtocol) *RunError {
 		w := &p.flat[i]
 		w.env.Sent, w.env.Heard, w.env.Srcs = n.sent, n.heard, n.srcs
 		w.env.Skip = nil
-		w.env.Sampler = nil // FlatParallel never batches (see finishFlatSetup)
 		w.env.Drew, w.env.Changed = false, false
 		w.senders = 0
 		w.active = false
@@ -623,8 +554,6 @@ func (n *Network) stepFlatParallelSparse(ops SparseFlatProtocol) *RunError {
 			w.changedW = make([]uint64, mw)
 		}
 	}
-	n.flatParOps = ops
-	n.flatParSparse = ops
 	p.runPhase(phaseFlatSparseEmit)
 	if err := p.takeError(); err != nil {
 		return err
@@ -711,10 +640,10 @@ func (n *Network) flatSparseKernelRange(phase string, w *flatWorker, lo, hi int)
 	s := &n.sparse
 	if phase == "emit" {
 		clearMask(w.drewW)
-		n.flatParSparse.EmitSparse(&w.env, s.act, w.drewW, lo, hi)
+		n.flatOps.EmitSparse(&w.env, s.act, w.drewW, lo, hi)
 	} else {
 		clearMask(w.changedW)
-		n.flatParSparse.UpdateSparse(&w.env, s.updW, w.changedW, lo, hi)
+		n.flatOps.UpdateSparse(&w.env, s.updW, w.changedW, lo, hi)
 	}
 	return nil
 }

@@ -181,7 +181,7 @@ func TestDetectorAcrossChurnAndAdversaries(t *testing.T) {
 }
 
 // TestEngineEquivalenceThroughChurn extends the engine contract to the
-// new fault model on the paper's own protocol: all five engines must
+// new fault model on the paper's own protocol: every engine must
 // produce bit-identical signal traces through a scripted crash-and-grow
 // Rewire with adversaries installed, exercising the BatchProtocol slab
 // path of the survivor state transfer (and, for the flat kernels, the
@@ -236,16 +236,14 @@ func TestEngineEquivalenceThroughChurn(t *testing.T) {
 		opts   []beep.Option
 	}{
 		{"sequential", beep.Sequential, nil},
-		{"parallel", beep.Parallel, nil},
-		{"pervertex", beep.PerVertex, nil},
 		{"flat", beep.Flat, nil},
 		{"flatparallel", beep.FlatParallel, nil},
-		// Forced-sparse pins: with adversaries installed every round
+		// Forced-delta pins: with adversaries installed every round
 		// falls back to the dense kernels through the sparse gate, and
 		// the Rewire invalidation must keep the trace exact on both
 		// sides of the churn event.
-		{"flat-sparse-on", beep.Flat, []beep.Option{beep.WithSparse(beep.SparseOn)}},
-		{"flatparallel-sparse-on", beep.FlatParallel, []beep.Option{beep.WithSparse(beep.SparseOn)}},
+		{"flat-forced-delta", beep.Flat, []beep.Option{beep.ForceDeltaForTesting()}},
+		{"flatparallel-forced-delta", beep.FlatParallel, []beep.Option{beep.ForceDeltaForTesting()}},
 	}
 	for _, e := range engines {
 		got := run(e.engine, e.opts...)

@@ -368,7 +368,7 @@ func TestRunValidatesInputs(t *testing.T) {
 	}
 }
 
-func TestSnapshotStateQueries(t *testing.T) {
+func TestStateQueries(t *testing.T) {
 	// Hand-built legal state on a path 0-1-2: vertex 1 in the MIS.
 	g := graph.Path(3)
 	caps := []int{5, 5, 5}

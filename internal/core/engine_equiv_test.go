@@ -55,16 +55,15 @@ func runEngineTrace(t *testing.T, g graph.Topology, proto beep.Protocol, seed ui
 }
 
 // TestEngineTraceEquivalence asserts the engine contract end to end on
-// the paper's protocols: all five engines — Sequential (which silently
-// upgrades to the flat kernels), Parallel, PerVertex, Flat and
-// FlatParallel (at several explicit worker counts) — produce
+// the paper's protocols: Sequential (which silently upgrades to the
+// flat kernels), Flat and FlatParallel (at several explicit worker
+// counts), with and without forced delta delivery, produce
 // bit-identical (sent, heard) traces and the same stabilization round
 // for a fixed seed, across graph families with distinct degree
 // profiles. The reference is Sequential with the flat kernels forced
 // OFF (the plain per-machine interface loop), so the comparison also
 // certifies the kernels against the reference semantics. Run with -race
-// this exercises the worker-pool barrier under the sharded, the
-// goroutine-per-vertex and the sharded-kernel engines.
+// this exercises the FlatParallel worker-pool barrier.
 func TestEngineTraceEquivalence(t *testing.T) {
 	families := []struct {
 		name string
@@ -91,8 +90,6 @@ func TestEngineTraceEquivalence(t *testing.T) {
 		opts   []beep.Option
 	}{
 		{"sequential+kernels", beep.Sequential, nil},
-		{"parallel", beep.Parallel, nil},
-		{"pervertex", beep.PerVertex, nil},
 		{"flat", beep.Flat, nil},
 		{"flatparallel", beep.FlatParallel, nil},
 		// Explicit worker counts: the trace must be invariant in the
@@ -101,14 +98,12 @@ func TestEngineTraceEquivalence(t *testing.T) {
 		{"flatparallel-w1", beep.FlatParallel, []beep.Option{beep.WithWorkers(1)}},
 		{"flatparallel-w3", beep.FlatParallel, []beep.Option{beep.WithWorkers(3)}},
 		{"flatparallel-w8", beep.FlatParallel, []beep.Option{beep.WithWorkers(8)}},
-		// Sparse-path pins: forced delta delivery (SparseOn) and the
-		// legacy dense path (SparseOff) must both match the reference
-		// bit for bit — the default engines above already run
-		// SparseAuto, so together the three modes are covered.
-		{"flat-sparse-on", beep.Flat, []beep.Option{beep.WithSparse(beep.SparseOn)}},
-		{"flat-sparse-off", beep.Flat, []beep.Option{beep.WithSparse(beep.SparseOff)}},
-		{"flatparallel-sparse-on", beep.FlatParallel, []beep.Option{beep.WithSparse(beep.SparseOn)}},
-		{"flatparallel-w3-sparse-on", beep.FlatParallel, []beep.Option{beep.WithWorkers(3), beep.WithSparse(beep.SparseOn)}},
+		// Forced delta delivery: the rows above let the crossover pick
+		// dense delivery on sender-rich rounds; these take the delta
+		// re-gather on every round where the invariants allow it.
+		{"flat-forced-delta", beep.Flat, []beep.Option{beep.ForceDeltaForTesting()}},
+		{"flatparallel-forced-delta", beep.FlatParallel, []beep.Option{beep.ForceDeltaForTesting()}},
+		{"flatparallel-w3-forced-delta", beep.FlatParallel, []beep.Option{beep.WithWorkers(3), beep.ForceDeltaForTesting()}},
 	}
 	const seed, maxRounds = 90210, 20000
 	for _, fam := range families {

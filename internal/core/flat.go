@@ -5,50 +5,40 @@ import (
 	"repro/internal/graph"
 )
 
-// This file implements the flat-engine kernels (beep.FlatProtocol),
-// in-place re-initialization (beep.FlatReiniter) and quiescence
-// snapshots (beep.FlatQuiescer) for the three machine slabs. Each
-// kernel is the loop body of the corresponding Machine.Emit/Update
-// inlined over the contiguous slab, with the per-vertex interface
-// dispatch and pointer chase removed; on the exact path (env.Sampler ==
-// nil) every vertex consumes precisely the draws its machine would
-// have, so flat executions are bit-identical to the reference engines
+// This file implements the dense flat-engine kernels
+// (beep.FlatProtocol's whole-cohort and range forms) and in-place
+// re-initialization (beep.FlatReiniter) for the three machine slabs;
+// sparse.go adds the activity-gated forms. Each kernel is the loop body
+// of the corresponding Machine.Emit/Update inlined over the contiguous
+// slab, with the per-vertex interface dispatch and pointer chase
+// removed; every vertex consumes precisely the draws its machine would
+// have, so flat executions are bit-identical to the reference loop
 // (pinned by TestEngineTraceEquivalence and
 // FuzzFlatEmitDrawEquivalence).
 //
 // Each kernel has two loop variants: a fast one for the common case of
-// no skip mask and no batch sampler (no per-vertex mask probe, direct
-// stream access), and a general one handling sleeping/adversarial
-// vertices (whose Sent entries the engine pre-filled and whose state
-// must not move) and the amortized sampler. Both maintain the
-// env.Drew / env.Changed fixed-point flags that drive the engine's
-// quiescence elision.
+// no skip mask (no per-vertex mask probe), and a general one handling
+// sleeping/adversarial vertices, whose Sent entries the engine
+// pre-filled and whose state must not move. Both maintain the
+// env.Drew / env.Changed fixed-point flags.
 
 var (
 	_ beep.FlatProtocol = (*alg1Slab)(nil)
 	_ beep.FlatReiniter = (*alg1Slab)(nil)
-	_ beep.FlatQuiescer = (*alg1Slab)(nil)
 	_ beep.FlatProtocol = (*alg2Slab)(nil)
 	_ beep.FlatReiniter = (*alg2Slab)(nil)
-	_ beep.FlatQuiescer = (*alg2Slab)(nil)
 	_ beep.FlatProtocol = (*adaptiveSlab)(nil)
 	_ beep.FlatReiniter = (*adaptiveSlab)(nil)
-	_ beep.FlatQuiescer = (*adaptiveSlab)(nil)
 )
 
-// flatBern draws one Bernoulli(2^-l) trial for vertex v from whichever
-// source the environment configured: the amortized batch sampler when
-// present, the vertex's private stream otherwise. l <= 0 succeeds
-// without consuming randomness on either path (and therefore without
-// setting env.Drew).
+// flatBern draws one Bernoulli(2^-l) trial for vertex v from its private
+// stream. l <= 0 succeeds without consuming randomness (and therefore
+// without setting env.Drew).
 func flatBern(env *beep.FlatEnv, v int, l int32) bool {
 	if l <= 0 {
 		return true
 	}
 	env.Drew = true
-	if env.Sampler != nil {
-		return env.Sampler.Bernoulli2Pow(int(l))
-	}
 	return env.Srcs[v].Bernoulli2Pow(int(l))
 }
 
@@ -65,7 +55,7 @@ func flatBern(env *beep.FlatEnv, v int, l int32) bool {
 // of beep.FlatProtocol's range forms.
 func alg1EmitRange[M any](env *beep.FlatEnv, ms []M, lo, hi int, state func(*M) *alg1Machine) {
 	sent := env.Sent
-	if env.Skip == nil && env.Sampler == nil {
+	if env.Skip == nil {
 		srcs := env.Srcs
 		drew := false
 		for v := lo; v < hi; v++ {
@@ -171,13 +161,6 @@ func (s *alg1Slab) ReinitAll(g graph.Topology) {
 	}
 }
 
-// SnapshotState records the full machine state for quiescence elision
-// (beep.FlatQuiescer).
-func (s *alg1Slab) SnapshotState() { s.shadow = snapshotSlab(s.shadow, s.ms) }
-
-// StateUnchanged reports whether the state matches the last snapshot.
-func (s *alg1Slab) StateUnchanged() bool { return slabEqual(s.shadow, s.ms) }
-
 // --- Algorithm 2 ---
 
 // EmitAll is alg2Machine.Emit over the slab: beep₂ at ℓ = 0 (the MIS
@@ -189,7 +172,7 @@ func (s *alg2Slab) EmitAll(env *beep.FlatEnv) { s.EmitRange(env, 0, len(s.ms)) }
 func (s *alg2Slab) EmitRange(env *beep.FlatEnv, lo, hi int) {
 	ms := s.ms
 	sent := env.Sent
-	if env.Skip == nil && env.Sampler == nil {
+	if env.Skip == nil {
 		srcs := env.Srcs
 		drew := false
 		for v := lo; v < hi; v++ {
@@ -291,13 +274,6 @@ func (s *alg2Slab) ReinitAll(g graph.Topology) {
 	}
 }
 
-// SnapshotState records the full machine state for quiescence elision
-// (beep.FlatQuiescer).
-func (s *alg2Slab) SnapshotState() { s.shadow = snapshotSlab(s.shadow, s.ms) }
-
-// StateUnchanged reports whether the state matches the last snapshot.
-func (s *alg2Slab) StateUnchanged() bool { return slabEqual(s.shadow, s.ms) }
-
 // --- Adaptive heuristic ---
 
 // EmitAll is the Algorithm 1 emit rule over the adaptive slab
@@ -367,38 +343,4 @@ func (s *adaptiveSlab) ReinitAll(graph.Topology) {
 	for v := range s.ms {
 		s.p.initMachine(&s.ms[v])
 	}
-}
-
-// SnapshotState records the full machine state — including the mutable
-// caps and collision counters — for quiescence elision
-// (beep.FlatQuiescer).
-func (s *adaptiveSlab) SnapshotState() { s.shadow = snapshotSlab(s.shadow, s.ms) }
-
-// StateUnchanged reports whether the state matches the last snapshot.
-func (s *adaptiveSlab) StateUnchanged() bool { return slabEqual(s.shadow, s.ms) }
-
-// snapshotSlab copies src into the reusable shadow buffer.
-func snapshotSlab[M any](shadow, src []M) []M {
-	if cap(shadow) < len(src) {
-		shadow = make([]M, len(src))
-	}
-	shadow = shadow[:len(src)]
-	copy(shadow, src)
-	return shadow
-}
-
-// slabEqual reports element-wise equality; a shadow of the wrong length
-// (never snapshotted, or the cohort was resized by Rewire) never
-// matches. Machine structs are comparable by design — all fields are
-// plain integers — so this compares the complete mutable state.
-func slabEqual[M comparable](shadow, ms []M) bool {
-	if len(shadow) != len(ms) {
-		return false
-	}
-	for i := range ms {
-		if ms[i] != shadow[i] {
-			return false
-		}
-	}
-	return true
 }

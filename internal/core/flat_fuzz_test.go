@@ -85,7 +85,7 @@ func FuzzFlatEmitDrawEquivalence(f *testing.F) {
 				}
 			}
 			if drew && !env.Drew {
-				t.Fatalf("proto %d: kernel consumed randomness but left env.Drew unset (breaks quiescence elision)", pi)
+				t.Fatalf("proto %d: kernel consumed randomness but left env.Drew unset (breaks the distributed stop detection)", pi)
 			}
 
 			// Update equivalence on a fuzzed heard pattern: the kernels

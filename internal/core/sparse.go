@@ -6,8 +6,9 @@ import (
 	"repro/internal/beep"
 )
 
-// This file implements the activity-gated kernel forms
-// (beep.SparseFlatProtocol) for the three machine slabs. Each sparse
+// This file implements the activity-gated kernel forms of
+// beep.FlatProtocol (EmitSparse/UpdateSparse) for the three machine
+// slabs. Each sparse
 // kernel is the corresponding range kernel restricted to the slab
 // words whose bit is set in an activity mask: word wi of the slab
 // (vertices [wi*64, wi*64+64)) is visited iff bit wi of the mask is
@@ -21,21 +22,12 @@ import (
 // same state — Sent is already correct and no stream advances. The
 // same argument makes update skipping an identity: an unmarked update
 // word saw the identical (state, sent, heard) triple as the previous
-// round, where the transition changed nothing. Because the vertices
-// that draw are always a subset of the active words and both loops
-// walk words and vertices in ascending order, the amortized batch
-// sampler consumes trials in exactly the dense order too.
+// round, where the transition changed nothing.
 //
 // The sparse forms run only on the fault-free path: the engine falls
 // back to the dense kernels whenever a skip mask (sleepers,
 // adversaries) or noise is in play, so env.Skip is nil here by
 // contract.
-
-var (
-	_ beep.SparseFlatProtocol = (*alg1Slab)(nil)
-	_ beep.SparseFlatProtocol = (*alg2Slab)(nil)
-	_ beep.SparseFlatProtocol = (*adaptiveSlab)(nil)
-)
 
 // maskBits returns act[mi] clamped so that only bits naming slab words
 // inside [wlo, whi] (inclusive word bounds) survive.
@@ -58,7 +50,7 @@ func alg1EmitSparse[M any](env *beep.FlatEnv, ms []M, act, drewW []uint64, lo, h
 	if hi <= lo {
 		return
 	}
-	sent, srcs, sampler := env.Sent, env.Srcs, env.Sampler
+	sent, srcs := env.Sent, env.Srcs
 	drew := false
 	wlo, whi := lo>>6, (hi-1)>>6
 	for mi := wlo >> 6; mi <= whi>>6; mi++ {
@@ -85,13 +77,7 @@ func alg1EmitSparse[M any](env *beep.FlatEnv, ms []M, act, drewW []uint64, lo, h
 					sent[v] = beep.Chan1
 				default:
 					wordDrew = true
-					var hit bool
-					if sampler != nil {
-						hit = sampler.Bernoulli2Pow(int(lv))
-					} else {
-						hit = srcs[v].Bernoulli2Pow(int(lv))
-					}
-					if hit {
+					if srcs[v].Bernoulli2Pow(int(lv)) {
 						sent[v] = beep.Chan1
 					} else {
 						sent[v] = beep.Silent
@@ -148,24 +134,24 @@ func sparseUpdate[M any](env *beep.FlatEnv, ms []M, upd, changedW []uint64, lo, 
 	}
 }
 
-// EmitSparse implements beep.SparseFlatProtocol.
+// EmitSparse implements beep.FlatProtocol.
 func (s *alg1Slab) EmitSparse(env *beep.FlatEnv, act, drewW []uint64, lo, hi int) {
 	alg1EmitSparse(env, s.ms, act, drewW, lo, hi, func(m *alg1Machine) *alg1Machine { return m })
 }
 
-// UpdateSparse implements beep.SparseFlatProtocol.
+// UpdateSparse implements beep.FlatProtocol.
 func (s *alg1Slab) UpdateSparse(env *beep.FlatEnv, upd, changedW []uint64, lo, hi int) {
 	sparseUpdate(env, s.ms, upd, changedW, lo, hi, alg1Step)
 }
 
-// EmitSparse implements beep.SparseFlatProtocol: beep₂ at ℓ = 0 (no
+// EmitSparse implements beep.FlatProtocol: beep₂ at ℓ = 0 (no
 // randomness), beep₁ with probability 2^-ℓ while 0 < ℓ < ℓmax.
 func (s *alg2Slab) EmitSparse(env *beep.FlatEnv, act, drewW []uint64, lo, hi int) {
 	if hi <= lo {
 		return
 	}
 	ms := s.ms
-	sent, srcs, sampler := env.Sent, env.Srcs, env.Sampler
+	sent, srcs := env.Sent, env.Srcs
 	drew := false
 	wlo, whi := lo>>6, (hi-1)>>6
 	for mi := wlo >> 6; mi <= whi>>6; mi++ {
@@ -191,13 +177,7 @@ func (s *alg2Slab) EmitSparse(env *beep.FlatEnv, act, drewW []uint64, lo, hi int
 					sent[v] = beep.Silent
 				default:
 					wordDrew = true
-					var hit bool
-					if sampler != nil {
-						hit = sampler.Bernoulli2Pow(int(lv))
-					} else {
-						hit = srcs[v].Bernoulli2Pow(int(lv))
-					}
-					if hit {
+					if srcs[v].Bernoulli2Pow(int(lv)) {
 						sent[v] = beep.Chan1
 					} else {
 						sent[v] = beep.Silent
@@ -215,18 +195,18 @@ func (s *alg2Slab) EmitSparse(env *beep.FlatEnv, act, drewW []uint64, lo, hi int
 	}
 }
 
-// UpdateSparse implements beep.SparseFlatProtocol.
+// UpdateSparse implements beep.FlatProtocol.
 func (s *alg2Slab) UpdateSparse(env *beep.FlatEnv, upd, changedW []uint64, lo, hi int) {
 	sparseUpdate(env, s.ms, upd, changedW, lo, hi, alg2Step)
 }
 
-// EmitSparse implements beep.SparseFlatProtocol (Algorithm 1 emit rule,
+// EmitSparse implements beep.FlatProtocol (Algorithm 1 emit rule,
 // promoted unchanged by the adaptive heuristic).
 func (s *adaptiveSlab) EmitSparse(env *beep.FlatEnv, act, drewW []uint64, lo, hi int) {
 	alg1EmitSparse(env, s.ms, act, drewW, lo, hi, func(m *adaptiveMachine) *alg1Machine { return &m.alg1Machine })
 }
 
-// UpdateSparse implements beep.SparseFlatProtocol (the cap-doubling
+// UpdateSparse implements beep.FlatProtocol (the cap-doubling
 // collision rule rides along in adaptiveStep, so a collision marks the
 // word changed even when the level is pinned).
 func (s *adaptiveSlab) UpdateSparse(env *beep.FlatEnv, upd, changedW []uint64, lo, hi int) {

@@ -29,8 +29,8 @@ import (
 //
 // Each cell starts from the same stabilized torus configuration
 // (restored from a held base snapshot, then re-baselined), corrupts k
-// distinct random states, advances `cadence` rounds on the auto-sparse
-// flat engine, and times each codec's capture+encode. Sizes are
+// distinct random states, advances `cadence` rounds on the flat engine,
+// and times each codec's capture+encode. Sizes are
 // per-cell costs, not chain totals; timings are min over trials.
 func RunE22(cfg Config) error {
 	trials := cfg.trials(2, 3)
@@ -166,12 +166,12 @@ func (w *countingDiscard) Write(p []byte) (int, error) {
 
 var _ io.Writer = (*countingDiscard)(nil)
 
-// stableCkptBaseline builds an auto-sparse flat network, runs it to
+// stableCkptBaseline builds a flat network, runs it to
 // stabilization, and returns it together with its base snapshot (which
 // also arms the dirty-word baseline).
 func stableCkptBaseline(g *graph.Graph, seed uint64) (*beep.Network, *beep.Checkpoint, error) {
 	proto := core.NewAlg1(core.KnownMaxDegreeExact(core.DefaultC1KnownDelta))
-	net, err := beep.NewNetwork(g, proto, seed, beep.WithEngine(beep.Flat), beep.WithSparse(beep.SparseAuto))
+	net, err := beep.NewNetwork(g, proto, seed, beep.WithEngine(beep.Flat))
 	if err != nil {
 		return nil, nil, err
 	}

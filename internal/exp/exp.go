@@ -100,7 +100,7 @@ func registry() []Experiment {
 		{ID: "E19", Title: "Backend scaling to n=10⁸", Description: "ns/vertex/round and bytes/vertex for the csr/compact/implicit graph backends (implicit reaches 10⁸ with --full)", Run: RunE19},
 		// E20 is reserved for the protocol-portfolio tournament (ROADMAP
 		// open item 5).
-		{ID: "E21", Title: "Activity decay and the sparse-round payoff", Description: "per-round frontier decay under WithStatsObserver and whole-run dense vs sparse wall-clock (bit-identical traces)", Run: RunE21},
+		{ID: "E21", Title: "Activity decay and the sparse-round payoff", Description: "per-round frontier decay under WithStatsObserver and the sparse path's whole-run wall-clock", Run: RunE21},
 		{ID: "E22", Title: "Checkpoint cost vs cadence vs corruption", Description: "per-tick capture+encode cost of v2 JSON vs v3 binary vs v3 delta checkpoints across checkpoint cadences and transient-fault rates", Run: RunE22},
 	}
 }

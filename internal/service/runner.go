@@ -29,9 +29,13 @@ var (
 // supervisor's outcome onto the job state machine. It never panics the
 // daemon: every failure path lands the job in a terminal state with a
 // diagnostic.
+//
+// The job stays pending while the run is prepared — spec resolved,
+// checkpoint read, trace reconciled and opened, live topic and cancel
+// hook in place — and turns running only then, so a client that waits
+// for running and subscribes always finds the live topic, and a cancel
+// always finds the hook.
 func (d *Daemon) runJob(ctx context.Context, j *Job) {
-	d.transition(j, func(j *Job) { j.State = JobRunning })
-
 	g, proto, initMode, engine, err := j.Spec.resolve()
 	if err != nil {
 		d.finishFailed(j, nil, 0, fmt.Sprintf("resolve spec: %v", err))
@@ -78,10 +82,15 @@ func (d *Daemon) runJob(ctx context.Context, j *Job) {
 	// stopping.
 	runCtx, cancelRun := context.WithCancelCause(ctx)
 	defer cancelRun(nil)
-	d.registerCancel(j.ID, cancelRun)
-	defer d.unregisterCancel(j.ID)
-
 	d.hub.open(j.ID, resumeRound, tw.Flush)
+	if !d.start(j, cancelRun) {
+		// Canceled while the run was being prepared: Cancel already
+		// landed the job in its terminal state.
+		tw.Close()
+		d.hub.closeTopic(j.ID)
+		return
+	}
+	defer d.unregisterCancel(j.ID)
 
 	checkpointEvery := j.Spec.CheckpointEvery
 	if checkpointEvery <= 0 {

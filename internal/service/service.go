@@ -514,10 +514,25 @@ func (d *Daemon) saveLocked(j *Job) {
 	}
 }
 
-func (d *Daemon) registerCancel(id string, c context.CancelCauseFunc) {
+// start turns a dequeued job running and registers its cancel hook in
+// one critical section. It reports false, leaving the job alone, when a
+// Cancel landed while the run was being prepared (the job is then no
+// longer pending). A drain that began during the preparation missed
+// the hook, so it is applied here.
+func (d *Daemon) start(j *Job, cancel context.CancelCauseFunc) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.cancels[id] = c
+	if j.State != JobPending {
+		return false
+	}
+	j.State = JobRunning
+	j.UpdatedAt = time.Now().UTC()
+	d.saveLocked(j)
+	d.cancels[j.ID] = cancel
+	if d.draining {
+		cancel(errDrain)
+	}
+	return true
 }
 
 func (d *Daemon) unregisterCancel(id string) {

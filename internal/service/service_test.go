@@ -175,6 +175,8 @@ func TestSpecRejectedWith400(t *testing.T) {
 		{Family: "gnp:64:0.08", Alg: "nope"},             // unknown protocol
 		{Family: "gnp:64:0.08", Noise: 1.5},              // bad noise
 		{Family: "gnp:64:0.08", Rounds: 5, MaxRounds: 5}, // exclusive modes
+		{Family: "gnp:64:0.08", Engine: "parallel"},      // removed engine
+		{Family: "gnp:64:0.08", Engine: "pervertex"},     // removed engine
 	} {
 		if _, status := trySubmit(t, base, spec); status != http.StatusBadRequest {
 			t.Fatalf("spec %+v: status %d, want 400", spec, status)

@@ -39,12 +39,8 @@ type ChaosScenario struct {
 	Protocol beep.Protocol
 	Seed     uint64
 	Engine   beep.Engine
-	// Sparse selects the flat engines' round path (the zero value is
-	// SparseAuto). SparseOn forces the delta path on every fault-free
-	// round and is only constructible on engines with flat kernels.
-	Sparse beep.SparseMode
-	Noise  beep.Noise
-	Sleep  beep.Sleep
+	Noise    beep.Noise
+	Sleep    beep.Sleep
 	// AdvPolicy/AdvVertices install adversaries at construction time
 	// (resumed passes rely on Restore to reinstall them — deliberately,
 	// so the harness catches checkpoints that forget adversary state).
@@ -62,6 +58,11 @@ type ChaosScenario struct {
 	// the JSON path has always faced. Empty keeps the classic v2 wire
 	// roundtrip.
 	ChainDir string
+
+	// opts are extra construction options, appended after the
+	// scenario's own; this package's tests use it for the
+	// beep.ForceDeltaForTesting rows of the chaos matrices.
+	opts []beep.Option
 }
 
 // ChaosReport summarizes a kill–resume campaign over one scenario.
@@ -165,7 +166,6 @@ func runPass(s *ChaosScenario, p chaosPass) (*chaosTrace, error) {
 
 	opts := []beep.Option{
 		beep.WithEngine(engineOrDefault(s.Engine)),
-		beep.WithSparse(s.Sparse),
 		beep.WithNoise(s.Noise),
 		beep.WithSleep(s.Sleep),
 		beep.WithObserver(func(round int, sent, heard []beep.Signal) {
@@ -179,6 +179,7 @@ func runPass(s *ChaosScenario, p chaosPass) (*chaosTrace, error) {
 	if p.resume == nil && len(s.AdvVertices) > 0 {
 		opts = append(opts, beep.WithAdversaries(s.AdvPolicy, s.AdvVertices))
 	}
+	opts = append(opts, s.opts...)
 
 	net, err := beep.NewNetwork(cur, s.Protocol, s.Seed, opts...)
 	if err != nil {

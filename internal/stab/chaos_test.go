@@ -85,28 +85,26 @@ func chaosScenarios(t *testing.T) []ChaosScenario {
 
 // TestChaosKillResume is the acceptance gate of the crash-safety work:
 // ≥ 200 randomized kill points across {noise, adversaries, churn} ×
-// {sequential, parallel, per-vertex, flat, flatparallel} must all
-// resume from their last auto-checkpoint with bit-exact trace
-// equivalence against the uninterrupted execution. Including the flat
-// engines here certifies the vectorized kernels (and their sharded
-// variant's stripe state) against checkpoint v2 and the
-// quiescence-elision fast path under kill/resume.
+// {sequential, flat, flatparallel, plus the flat engines with forced
+// delta delivery} must all resume from their last auto-checkpoint with
+// bit-exact trace equivalence against the uninterrupted execution.
+// Including the flat engines here certifies the vectorized kernels (and
+// their sharded variant's stripe state) and the sparse path's frontier
+// invalidation against checkpoint v2 under kill/resume.
 func TestChaosKillResume(t *testing.T) {
 	const killsPerCombo = 23
 	engines := []struct {
 		name   string
 		engine beep.Engine
-		sparse beep.SparseMode
+		opts   []beep.Option
 	}{
-		{"sequential", beep.Sequential, beep.SparseAuto},
-		{"parallel", beep.Parallel, beep.SparseAuto},
-		{"pervertex", beep.PerVertex, beep.SparseAuto},
-		{"flat", beep.Flat, beep.SparseAuto},
-		{"flatparallel", beep.FlatParallel, beep.SparseAuto},
-		// Forced-sparse combos: the delta path (and its dense fallback on
+		{"sequential", beep.Sequential, nil},
+		{"flat", beep.Flat, nil},
+		{"flatparallel", beep.FlatParallel, nil},
+		// Forced-delta combos: the delta path (and its dense fallback on
 		// faulty rounds) must survive kill–resume bit-exactly too.
-		{"flat-sparse-on", beep.Flat, beep.SparseOn},
-		{"flatparallel-sparse-on", beep.FlatParallel, beep.SparseOn},
+		{"flat-forced-delta", beep.Flat, []beep.Option{beep.ForceDeltaForTesting()}},
+		{"flatparallel-forced-delta", beep.FlatParallel, []beep.Option{beep.ForceDeltaForTesting()}},
 	}
 	src := rng.New(4242)
 	total, combo := 0, 0
@@ -115,7 +113,7 @@ func TestChaosKillResume(t *testing.T) {
 			combo++
 			s := base
 			s.Engine = e.engine
-			s.Sparse = e.sparse
+			s.opts = e.opts
 			s.Name = fmt.Sprintf("%s/%s", base.Name, e.name)
 			rep, err := RunChaos(s, killsPerCombo, src.Split(uint64(combo)))
 			if err != nil {
@@ -192,12 +190,12 @@ func TestChaosChainKillResume(t *testing.T) {
 	engines := []struct {
 		name   string
 		engine beep.Engine
-		sparse beep.SparseMode
+		opts   []beep.Option
 	}{
-		{"flat", beep.Flat, beep.SparseAuto},
-		{"flatparallel", beep.FlatParallel, beep.SparseAuto},
-		{"flat-sparse-on", beep.Flat, beep.SparseOn},
-		{"sequential", beep.Sequential, beep.SparseAuto},
+		{"flat", beep.Flat, nil},
+		{"flatparallel", beep.FlatParallel, nil},
+		{"flat-forced-delta", beep.Flat, []beep.Option{beep.ForceDeltaForTesting()}},
+		{"sequential", beep.Sequential, nil},
 	}
 	src := rng.New(7117)
 	combo := 0
@@ -207,7 +205,7 @@ func TestChaosChainKillResume(t *testing.T) {
 			combo++
 			s := base
 			s.Engine = e.engine
-			s.Sparse = e.sparse
+			s.opts = e.opts
 			s.Name = fmt.Sprintf("%s/%s/chain", base.Name, e.name)
 			s.ChainDir = t.TempDir()
 			rep, err := RunChaos(s, killsPerCombo, src.Split(uint64(combo)))

@@ -117,23 +117,20 @@ func TestSupervisorDeadline(t *testing.T) {
 }
 
 func TestSupervisorContainsPanicTyped(t *testing.T) {
-	g := testGraph(t)
-	for _, engine := range []beep.Engine{beep.Sequential, beep.Parallel, beep.PerVertex} {
-		sup, err := NewSupervisor(SupervisorConfig{
-			Graph: g, Protocol: panicAtProto{round: 3}, Seed: 9, Engine: engine,
-			MaxRetries: 5, // retries must NOT mask a deterministic panic
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, err = sup.Run()
-		var rerr *beep.RunError
-		if !errors.As(err, &rerr) {
-			t.Fatalf("%v: got %v, want wrapped *beep.RunError", engine, err)
-		}
-		if rerr.Round != 3 {
-			t.Fatalf("%v: panic surfaced at round %d, want 3", engine, rerr.Round)
-		}
+	sup, err := NewSupervisor(SupervisorConfig{
+		Graph: testGraph(t), Protocol: panicAtProto{round: 3}, Seed: 9,
+		MaxRetries: 5, // retries must NOT mask a deterministic panic
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = sup.Run()
+	var rerr *beep.RunError
+	if !errors.As(err, &rerr) {
+		t.Fatalf("got %v, want wrapped *beep.RunError", err)
+	}
+	if rerr.Round != 3 {
+		t.Fatalf("panic surfaced at round %d, want 3", rerr.Round)
 	}
 }
 
