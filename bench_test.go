@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/baseline"
@@ -344,7 +345,9 @@ func benchDetectorCases(b *testing.B, fn func(b *testing.B, net *beep.Network)) 
 }
 
 // BenchmarkRefresh measures capturing the network's levels into a
-// reused State (the first half of the per-round stop closure).
+// reused State (the first half of the per-round stop closure). With no
+// round between iterations the engine reports no changed word, so this
+// is the O(1) path; the first, full capture is untimed.
 func BenchmarkRefresh(b *testing.B) {
 	benchDetectorCases(b, func(b *testing.B, net *beep.Network) {
 		var st core.State
@@ -361,11 +364,12 @@ func BenchmarkRefresh(b *testing.B) {
 	})
 }
 
-// BenchmarkStabilizedDetector measures the full per-round stop check:
+// BenchmarkStabilizedDetector measures the per-round stop check —
 // Refresh followed by Stabilized, exactly what core.Run evaluates after
-// every round. Levels do not change between iterations, so this is the
-// steady-state ("nothing changed this round") cost that dominates long
-// executions.
+// every round — with no round between iterations: the engine reports no
+// changed slab word, so each iteration is the O(1) "nothing changed"
+// path (no level export, no diff). BenchmarkSupervisedRound measures
+// the check together with the round that feeds it.
 func BenchmarkStabilizedDetector(b *testing.B) {
 	benchDetectorCases(b, func(b *testing.B, net *beep.Network) {
 		var st core.State
@@ -403,4 +407,131 @@ func BenchmarkRoundDenseK2k(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		net.Step()
 	}
+}
+
+// Supervised-round benchmarks: the round a supervised run actually
+// pays for — Step plus the stabilization probe (Refresh + Stabilized),
+// the loop of stab.Supervisor, core.Run and every experiment — rather
+// than the bare engine round of the benches above.
+
+// stabilizedAlg1 returns a Flat-engine Algorithm 1 network on t, run
+// from a random configuration until the legality probe accepts.
+func stabilizedAlg1(b *testing.B, t graph.Topology, seed uint64) *beep.Network {
+	b.Helper()
+	proto := core.NewAlg1(core.KnownMaxDegreeExact(core.DefaultC1KnownDelta))
+	net, err := beep.NewNetwork(t, proto, seed, beep.WithEngine(beep.Flat))
+	if err != nil {
+		b.Fatal(err)
+	}
+	net.RandomizeAll()
+	var probe core.State
+	if _, ok := net.Run(10_000_000, func() bool {
+		return probe.Refresh(net) == nil && probe.Stabilized()
+	}); !ok {
+		net.Close()
+		b.Fatal("no stabilization")
+	}
+	return net
+}
+
+// corruptAndRecover corrupts k random vertex states (drawn from faults)
+// and steps until probe accepts again, returning the rounds it took.
+func corruptAndRecover(b *testing.B, net *beep.Network, probe *core.State, faults *rng.Source, k int) int {
+	b.Helper()
+	vs := make([]int, k)
+	for i := range vs {
+		vs[i] = faults.Intn(net.N())
+	}
+	if err := net.Corrupt(vs); err != nil {
+		b.Fatal(err)
+	}
+	before := net.Round()
+	if _, ok := net.Run(1_000_000, func() bool {
+		return probe.Refresh(net) == nil && probe.Stabilized()
+	}); !ok {
+		b.Fatal("no recovery")
+	}
+	return net.Round() - before
+}
+
+// BenchmarkSupervisedRound measures one steady supervised round on a
+// stabilized network: Step, Refresh and Stabilized per op. The probe is
+// a fresh State that has first seen one full capture and one 64-vertex
+// corrupt→recover cycle (untimed), so its buffers have reached their
+// working size; the probe-B/vertex metric is the heap that State
+// retains, divided by n. Sub-benchmarks at the CI smoke size (a 4k
+// G(n,p)) and on implicit tori at n = 10⁶ and 10⁷, where any O(n) pass
+// in the probe would cost milliseconds.
+func BenchmarkSupervisedRound(b *testing.B) {
+	cases := []struct {
+		name  string
+		t     func() graph.Topology
+		short bool
+	}{
+		{"4k", func() graph.Topology { return graph.GNPAvgDegree(4096, 8, rng.New(2)) }, true},
+		{"1M", func() graph.Topology { return graph.ImplicitTorus(1000, 1000) }, false},
+		{"10M", func() graph.Topology { return graph.ImplicitTorus(2500, 4000) }, false},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			if testing.Short() && !c.short {
+				b.Skip("large supervised-round case skipped in -short mode")
+			}
+			net := stabilizedAlg1(b, c.t(), 3)
+			defer net.Close()
+			var m0, m1 runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&m0)
+			probe := new(core.State)
+			if err := probe.Refresh(net); err != nil || !probe.Stabilized() {
+				b.Fatal("stabilized network not legal to a fresh probe")
+			}
+			corruptAndRecover(b, net, probe, rng.New(17), 64)
+			runtime.GC()
+			runtime.ReadMemStats(&m1)
+			probeBytes := float64(int64(m1.HeapAlloc)-int64(m0.HeapAlloc)) / float64(net.N())
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				net.Step()
+				if err := probe.Refresh(net); err != nil {
+					b.Fatal(err)
+				}
+				if !probe.Stabilized() {
+					b.Fatal("legal configuration became illegal without a fault")
+				}
+			}
+			// After the loop: ResetTimer discards reported metrics.
+			b.ReportMetric(probeBytes, "probe-B/vertex")
+		})
+	}
+}
+
+// BenchmarkSupervisedRecovery1M times the self-stabilization scenario
+// itself: from a stabilized n = 10⁶ configuration, corrupt 64 random
+// vertex states and run supervised rounds (Step + probe) until the
+// probe accepts again. The perturbation is local, so the engine's
+// frontier and the probe's changed words both stay proportional to the
+// corrupted neighborhoods. Each iteration is one whole corrupt →
+// re-stabilize run; corruption vertices are redrawn per iteration from
+// a fixed stream, and the mean recovery rounds are reported.
+func BenchmarkSupervisedRecovery1M(b *testing.B) {
+	if testing.Short() {
+		b.Skip("n=10^6 recovery benchmark skipped in -short mode")
+	}
+	net := stabilizedAlg1(b, graph.ImplicitTorus(1000, 1000), 3)
+	defer net.Close()
+	var probe core.State
+	if err := probe.Refresh(net); err != nil || !probe.Stabilized() {
+		b.Fatal("stabilized network not legal to a fresh probe")
+	}
+	faults := rng.New(17)
+	totalRounds := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		totalRounds += corruptAndRecover(b, net, &probe, faults, 64)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(totalRounds)/float64(b.N), "rounds")
 }

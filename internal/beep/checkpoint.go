@@ -334,6 +334,7 @@ func (n *Network) Restore(c *Checkpoint) error {
 	// dirty tracker held; the next checkpoint must be a full base.
 	n.ckDirty.markAll()
 	n.ckDirty.adv = true
+	n.probe.markAll()
 	return nil
 }
 

@@ -170,6 +170,7 @@ func (n *Network) bindFlatOps() {
 	n.sparse.markAll()
 	n.ckDirty.markAll()
 	n.ckDirty.adv = true
+	n.probe.markAll()
 	if n.noFlat {
 		return
 	}
@@ -490,6 +491,7 @@ func (n *Network) Reseed(seed uint64) error {
 	n.sparse.markAll()
 	n.ckDirty.markAll()
 	n.ckDirty.adv = true
+	n.probe.markAll()
 	n.advEpoch++ // new execution: legality observers must re-key
 	if n.workers != nil {
 		// Flat-parallel stripe state is per-round (reset by every

@@ -100,6 +100,9 @@ type Network struct {
 	// completes without setting it is conservatively marked all-dirty.
 	ckDirty       dirtyState
 	ckRoundSparse bool
+	// probe is the legality probe's changed-word mask (see changed.go),
+	// saturated wherever ckDirty is and fed the sparse paths' changedW.
+	probe changeMask
 
 	// gfp caches graph.FingerprintOf(n.g), the topology identity
 	// stamped into every checkpoint and delta. The generic Topology
@@ -278,6 +281,7 @@ func (n *Network) Round() int { return n.round }
 func (n *Network) Machine(v int) Machine {
 	n.sparse.markVertex(v)
 	n.ckDirty.markVertex(v)
+	n.probe.markVertex(v)
 	return n.machines[v]
 }
 
@@ -296,6 +300,7 @@ func (n *Network) N() int { return len(n.machines) }
 func (n *Network) RandomizeAll() {
 	n.sparse.markAll()
 	n.ckDirty.markAll()
+	n.probe.markAll()
 	for v, m := range n.machines {
 		m.Randomize(n.srcs[v])
 	}
@@ -314,6 +319,7 @@ func (n *Network) Corrupt(vertices []int) error {
 	for _, v := range vertices {
 		n.sparse.markVertex(v)
 		n.ckDirty.markVertex(v)
+		n.probe.markVertex(v)
 		n.machines[v].Randomize(n.srcs[v])
 	}
 	return nil
@@ -377,9 +383,11 @@ func (n *Network) TryStep() error {
 	if !n.ckRoundSparse {
 		// The round ran a path whose effects the activity masks do not
 		// describe (dense kernels, fault-model fallback): conservatively
-		// dirty everything for the incremental-checkpoint baseline. The
-		// sparse paths accumulate their exact end-of-round union instead.
+		// dirty everything for the incremental-checkpoint baseline and the
+		// legality probe. The sparse paths accumulate their exact
+		// end-of-round unions instead.
 		n.ckDirty.markAll()
+		n.probe.markAll()
 	}
 	n.round++
 	if n.statsObs != nil {

@@ -307,6 +307,10 @@ func (p *Partition) UpdateLocalSparse() (changed bool, err error) {
 	}
 	sp.actCount = cnt
 	clearMask(sp.touchW)
+	// A partition steps only its own range; the network-wide probe mask
+	// does not describe that, so a probe of this network re-reads
+	// everything.
+	n.probe.markAll()
 	n.round++
 	return p.env.Changed, nil
 }

@@ -311,13 +311,22 @@ func (n *Network) stepFlatSparse() *RunError {
 	}
 	cnt := 0
 	dirty := n.ckDirty.accum(len(s.act))
+	probe := n.probe.accum(len(s.act))
+	var moved uint64
 	for mi := range s.act {
 		a := s.drewW[mi] | s.changedW[mi]
 		s.act[mi] = a
 		if dirty != nil {
 			dirty[mi] |= a
 		}
+		if probe != nil {
+			probe[mi] |= s.changedW[mi]
+			moved |= s.changedW[mi]
+		}
 		cnt += bits.OnesCount64(a)
+	}
+	if moved != 0 {
+		n.probe.curSet = true
 	}
 	s.actCount = cnt
 	n.roundActive = actEntry * 64
@@ -602,16 +611,27 @@ func (n *Network) stepFlatParallelSparse() *RunError {
 	}
 	cnt := 0
 	dirty := n.ckDirty.accum(len(s.act))
+	probe := n.probe.accum(len(s.act))
+	var moved uint64
 	for mi := range s.act {
-		var a uint64
+		var a, c uint64
 		for i := range p.flat {
-			a |= p.flat[i].drewW[mi] | p.flat[i].changedW[mi]
+			a |= p.flat[i].drewW[mi]
+			c |= p.flat[i].changedW[mi]
 		}
+		a |= c
 		s.act[mi] = a
 		if dirty != nil {
 			dirty[mi] |= a
 		}
+		if probe != nil {
+			probe[mi] |= c
+			moved |= c
+		}
 		cnt += bits.OnesCount64(a)
+	}
+	if moved != 0 {
+		n.probe.curSet = true
 	}
 	s.actCount = cnt
 	n.roundActive = actEntry * 64

@@ -119,9 +119,15 @@ var _ LevelExporter = (*adaptiveSlab)(nil)
 // caps is never nil here: MutableCaps is true, so callers must always
 // re-export the caps.
 func (s *adaptiveSlab) ExportLevels(levels, caps []int32) {
-	for i := range s.ms {
-		levels[i] = s.ms[i].level
-		caps[i] = s.ms[i].lmax
+	s.ExportLevelRange(levels, caps, 0, len(s.ms))
+}
+
+// ExportLevelRange is ExportLevels over the vertices [lo, hi).
+func (s *adaptiveSlab) ExportLevelRange(levels, caps []int32, lo, hi int) {
+	ms, lv, cp := s.ms[lo:hi], levels[lo:hi], caps[lo:hi]
+	for i := range ms {
+		lv[i] = ms[i].level
+		cp[i] = ms[i].lmax
 	}
 }
 

@@ -106,15 +106,22 @@ var _ LevelExporter = (*alg1Slab)(nil)
 // A nil caps skips the ℓmax export (the caller has already captured the
 // immutable caps).
 func (s *alg1Slab) ExportLevels(levels, caps []int32) {
+	s.ExportLevelRange(levels, caps, 0, len(s.ms))
+}
+
+// ExportLevelRange is ExportLevels over the vertices [lo, hi).
+func (s *alg1Slab) ExportLevelRange(levels, caps []int32, lo, hi int) {
+	ms, lv := s.ms[lo:hi], levels[lo:hi]
 	if caps == nil {
-		for i := range s.ms {
-			levels[i] = s.ms[i].level
+		for i := range ms {
+			lv[i] = ms[i].level
 		}
 		return
 	}
-	for i := range s.ms {
-		levels[i] = s.ms[i].level
-		caps[i] = s.ms[i].lmax
+	cp := caps[lo:hi]
+	for i := range ms {
+		lv[i] = ms[i].level
+		cp[i] = ms[i].lmax
 	}
 }
 

@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"sync/atomic"
 
 	"repro/internal/beep"
 	"repro/internal/bitset"
@@ -12,16 +14,20 @@ import (
 // LevelExporter is the bulk level accessor implemented by the machine
 // slabs of the core protocols (Alg1, Alg2, AdaptiveAlg1). A network
 // built from a beep.BatchProtocol exposes it through Network.BulkState,
-// and State.Refresh uses it to capture all (ℓ, ℓmax) pairs in one
-// linear pass over contiguous storage — replacing one interface
-// assertion plus two virtual calls per vertex per round in the
-// stabilization stop check.
+// and State.Refresh uses it to capture (ℓ, ℓmax) pairs in linear passes
+// over contiguous storage — all of them, or only the slab words the
+// engine reports changed — instead of one interface assertion plus two
+// virtual calls per vertex per round in the stabilization stop check.
 type LevelExporter interface {
 	// ExportLevels writes ℓ(v) and ℓmax(v) of every vertex v into the
 	// destination slices, which must have length n. When MutableCaps
 	// reports false, callers that have already captured the caps may
 	// pass a nil caps slice to export levels only.
 	ExportLevels(levels, caps []int32)
+	// ExportLevelRange is ExportLevels restricted to the vertices
+	// [lo, hi): it writes only those positions of the destination
+	// slices (length n), with the same nil-caps rule.
+	ExportLevelRange(levels, caps []int32, lo, hi int)
 	// TwoChannel reports Algorithm 2 (two-channel) semantics, under
 	// which MIS membership is ℓ = 0 rather than ℓ = -ℓmax.
 	TwoChannel() bool
@@ -39,24 +45,30 @@ type LevelExporter interface {
 // and the lemma-level experiments.
 //
 // A State that is Refreshed every round doubles as an *incremental*
-// stabilization detector: Stabilized diffs the flat level array against
-// the previous snapshot and re-derives I_t/S_t only around the vertices
-// that changed, so the common "nothing changed" round costs O(n) cheap
-// integer compares instead of a full O(n+m) mask recompute. The
-// detector is purely observational — its answers are bit-identical to
-// the full recompute for every snapshot.
+// stabilization detector. Refresh asks the network which slab words
+// changed since this State's last Refresh (beep.Network.
+// TakeChangedWords) and re-exports only those; the detector then diffs
+// only them and applies each level change through two per-vertex
+// neighbor counters, so a round in which nothing moved costs O(1) and a
+// moved vertex costs O(1) plus its degree only when it crosses the cap
+// boundary or flips I_t membership. Networks and rounds the engine does
+// not track per word (the reference loop, fault-model rounds, external
+// mutations, a different network or a second State) fall back to a
+// full export and an O(n) diff. The detector is purely observational —
+// its answers are bit-identical to the full recompute for every
+// snapshot.
 type State struct {
 	g graph.Topology
 	// csr is the materialized fast path (non-nil iff g is a
 	// *graph.Graph); synthesizing backends decode neighbor rows into
-	// rowBuf instead. One scratch row suffices: every neighbor iteration
-	// below either nests no other row scan or walks a previously
-	// materialized candidate list (dirty/cand/flips).
+	// rowBuf instead. A scan whose body decodes further rows takes its
+	// outer row from rowBuf2 (neighborsNested), so nested decodes never
+	// share one scratch row.
 	csr    *graph.Graph
 	rowBuf []int32
-	// rowBuf2 is the outer-row scratch of the one genuinely nested scan
-	// (LightBeepingMass walks a row while Mu decodes neighbor rows);
-	// allocated lazily since only the Section 6 analysis needs it.
+	// rowBuf2 is the outer-row scratch of the nested scans: the
+	// detector's cap-crossing walk (whose I_t flips walk their own rows)
+	// and LightBeepingMass (which decodes rows through Mu).
 	rowBuf2 []int32
 	levels  []int32
 	caps    []int32
@@ -64,13 +76,18 @@ type State struct {
 	// with no ℓ = 0 neighbor, rather than ℓ = -ℓmax with all-cap
 	// neighbors.
 	twoChannel bool
-	// capsValid remembers the exporter whose (immutable) caps are
-	// already in s.caps, so steady-state Refreshes export levels only —
-	// half the memory traffic of the per-round snapshot.
-	capsValid LevelExporter
+	// id is the State's changed-word consumer ID (see
+	// beep.Network.TakeChangedWords), drawn from probeIDs on first use.
+	id uint64
+	// src and srcLE are the network and exporter the last Refresh read.
+	// The changed-word path applies only to the same pair; srcLE also
+	// marks the (immutable) caps in s.caps as already captured, so
+	// steady-state Refreshes export levels only.
+	src   *beep.Network
+	srcLE LevelExporter
 	// capsMutable records whether the caps of the current source can
 	// change between Refreshes; when false the detector skips the caps
-	// half of its per-round diff as well.
+	// half of its diff as well.
 	capsMutable bool
 	// excluded masks the non-cooperating (adversarial) vertices out of
 	// the legality machinery: an excluded vertex is never in I_t, counts
@@ -83,6 +100,14 @@ type State struct {
 	// when the mask changes (mirroring beep.Network.AdversaryEpoch).
 	exGen uint64
 
+	// pendAll / pendWords record what Refresh re-captured since the
+	// detector last synchronized: everything, or the marked slab words
+	// (one bit per 64-vertex word, the engine's mask shape; pendSet
+	// reports that some bit may be set).
+	pendAll   bool
+	pendSet   bool
+	pendWords []uint64
+
 	det detector
 }
 
@@ -90,35 +115,46 @@ type State struct {
 // uint64 bitsets (one bit per vertex, word-at-a-time scans); unstable
 // counts |V \ S_t| so the stabilization predicate is a single integer
 // comparison once the masks are synchronized.
+//
+// Counter invariants, for every vertex v after a sync:
+//
+//	notCap[v] = |{u ∈ N(v) : u correct, ℓ(u) ≠ ℓmax(u)}|
+//	misNbr[v] = |{u ∈ N(v) : u ∈ I_t}|
+//	v ∈ I_t  ⇔ v correct ∧ ℓ(v) = want(v) ∧ notCap[v] = 0
+//	v ∈ S_t  ⇔ v excluded ∨ v ∈ I_t ∨ misNbr[v] > 0
+//
+// where want(v) is -ℓmax(v) under Algorithm 1 and 0 under Algorithm 2,
+// all over the levels in prevLevels (and caps in prevCaps when mutable).
 type detector struct {
 	g   graph.Topology
 	two bool
 	n   int
 	// capsMut mirrors State.capsMutable at rebuild time; when false the
-	// per-round diff compares levels only.
+	// diff compares levels only and prevCaps is not kept.
 	capsMut bool
 	// exGen mirrors State.exGen at rebuild time; a mismatch forces a
 	// full re-seed so exclusion-mask changes are never applied
 	// incrementally against stale masks.
 	exGen uint64
-	// prevLevels/prevCaps are the levels the masks were last derived
-	// from; the per-round diff against them yields the dirty set.
+	// stale forces a rebuild: Refresh re-exported immutable caps (a new
+	// source), which the levels-only diff cannot see.
+	stale bool
+	// prevLevels/prevCaps are the levels (and mutable caps) the masks
+	// and counters were last derived from; the diff against them yields
+	// the vertices that moved.
 	prevLevels []int32
 	prevCaps   []int32
+
+	notCap []int32
+	misNbr []int32
 
 	mis      bitset.Set // I_t membership
 	stable   bitset.Set // S_t = I_t ∪ N(I_t)
 	unstable int        // |V| - |S_t|
-
-	// Scratch for the incremental update: dirty vertices, dedup'd
-	// candidate lists, and epoch marks (mark[v] == epoch ⇔ v already
-	// queued this pass).
-	dirty []int32
-	cand  []int32
-	flips []int32
-	mark  []uint32
-	epoch uint32
 }
+
+// probeIDs hands out State consumer IDs for beep.Network.TakeChangedWords.
+var probeIDs atomic.Uint64
 
 // Snapshot captures the current levels of a network running Algorithm 1
 // or Algorithm 2. It returns an error if any machine does not expose
@@ -135,8 +171,11 @@ func Snapshot(net *beep.Network) (*State, error) {
 // reusing its buffers. It is the allocation-free path for callers that
 // snapshot every round (the stabilization detector); a zero State is a
 // valid receiver. Networks built from a BatchProtocol (all core
-// protocols) take the bulk-export fast path: one linear pass over the
-// machine slab, no per-vertex interface dispatch.
+// protocols) take the bulk-export fast path: when the receiver last
+// read the same network, only the slab words the engine reports changed
+// since then are exported (nothing after an elided round); otherwise
+// one linear pass over the machine slab, no per-vertex interface
+// dispatch.
 func (s *State) Refresh(net *beep.Network) error {
 	n := net.N()
 	if g := net.Graph(); g != s.g {
@@ -145,41 +184,86 @@ func (s *State) Refresh(net *beep.Network) error {
 	if cap(s.levels) < n {
 		s.levels = make([]int32, n)
 		s.caps = make([]int32, n)
-		s.capsValid = nil
+		s.srcLE = nil
 	}
 	s.levels = s.levels[:n]
 	s.caps = s.caps[:n]
-	if le, ok := net.BulkState().(LevelExporter); ok {
-		mut := le.MutableCaps()
-		if !mut && s.capsValid == le {
+	le, ok := net.BulkState().(LevelExporter)
+	if !ok {
+		s.src, s.srcLE = nil, nil
+		s.pendAll = true
+		s.capsMutable = true
+		s.twoChannel = false
+		for v := 0; v < n; v++ {
+			m, ok := net.Machine(v).(Leveled)
+			if !ok {
+				return fmt.Errorf("core: machine of vertex %d (%T) does not expose levels", v, net.Machine(v))
+			}
+			s.levels[v] = int32(m.Level())
+			s.caps[v] = int32(m.Cap())
+			if _, is2 := net.Machine(v).(*alg2Machine); is2 {
+				s.twoChannel = true
+			}
+		}
+		return nil
+	}
+	if s.id == 0 {
+		s.id = probeIDs.Add(1)
+	}
+	mut := le.MutableCaps()
+	mask, all := net.TakeChangedWords(s.id)
+	switch {
+	case all || net != s.src || le != s.srcLE:
+		if !mut && le == s.srcLE {
 			le.ExportLevels(s.levels, nil)
 		} else {
 			le.ExportLevels(s.levels, s.caps)
-			if mut {
-				s.capsValid = nil
-			} else {
-				s.capsValid = le
+			if !mut {
+				// The levels-only diff cannot see a new source's caps.
+				s.det.stale = true
 			}
 		}
-		s.capsMutable = mut
-		s.twoChannel = le.TwoChannel()
-		return nil
+		s.pendAll = true
+	case mask != nil:
+		s.exportWords(le, mask, mut)
 	}
-	s.capsValid = nil
-	s.capsMutable = true
-	s.twoChannel = false
-	for v := 0; v < n; v++ {
-		m, ok := net.Machine(v).(Leveled)
-		if !ok {
-			return fmt.Errorf("core: machine of vertex %d (%T) does not expose levels", v, net.Machine(v))
-		}
-		s.levels[v] = int32(m.Level())
-		s.caps[v] = int32(m.Cap())
-		if _, is2 := net.Machine(v).(*alg2Machine); is2 {
-			s.twoChannel = true
-		}
-	}
+	s.src, s.srcLE = net, le
+	s.capsMutable = mut
+	s.twoChannel = le.TwoChannel()
 	return nil
+}
+
+// exportWords re-exports the slab words marked in mask (maximal runs of
+// consecutive words in one call each) and records them as pending for
+// the detector.
+func (s *State) exportWords(le LevelExporter, mask []uint64, mutCaps bool) {
+	n := len(s.levels)
+	if mw := len(mask); len(s.pendWords) != mw {
+		s.pendWords = make([]uint64, mw)
+		s.pendAll = true
+	}
+	caps := s.caps
+	if !mutCaps {
+		caps = nil
+	}
+	for mi, m := range mask {
+		if m == 0 {
+			continue
+		}
+		s.pendWords[mi] |= m
+		s.pendSet = true
+		for m != 0 {
+			b := bits.TrailingZeros64(m)
+			run := bits.TrailingZeros64(^(m >> uint(b)))
+			lo := (mi<<6 + b) << 6
+			hi := (mi<<6 + b + run) << 6
+			if hi > n {
+				hi = n
+			}
+			le.ExportLevelRange(s.levels, caps, lo, hi)
+			m &^= (uint64(1)<<uint(run) - 1) << uint(b)
+		}
+	}
 }
 
 // setGraph installs the snapshot's topology, deriving the materialized
@@ -190,6 +274,7 @@ func (s *State) setGraph(g graph.Topology) {
 	if s.csr == nil {
 		if d := g.MaxDegree(); cap(s.rowBuf) < d {
 			s.rowBuf = make([]int32, d)
+			s.rowBuf2 = make([]int32, d)
 		}
 	}
 }
@@ -209,9 +294,6 @@ func (s *State) neighbors(v int) []int32 {
 func (s *State) neighborsNested(v int) []int32 {
 	if s.csr != nil {
 		return s.csr.Neighbors(v)
-	}
-	if s.rowBuf2 == nil {
-		s.rowBuf2 = make([]int32, s.g.MaxDegree())
 	}
 	return s.g.NeighborsInto(v, s.rowBuf2)
 }
@@ -344,9 +426,11 @@ func (s *State) FillStableMask(dst []bool) {
 // Stabilized reports whether every vertex is stable (S_t = V), the
 // paper's stabilization condition. In that case MISMask is a maximal
 // independent set. After the first call on a given State it is
-// incremental: the cost is proportional to the number of vertices whose
-// level changed since the last call (plus one cheap linear diff), not
-// to n+m, and it performs no allocations in the steady state.
+// incremental: the cost is proportional to the levels Refresh
+// re-captured (only the engine's changed words when it can name them,
+// O(1) after an elided round) plus the degrees of the vertices that
+// crossed the cap boundary or flipped I_t membership, not to n+m, and
+// it performs no allocations in the steady state.
 func (s *State) Stabilized() bool {
 	s.sync()
 	return s.det.unstable == 0
@@ -360,41 +444,64 @@ func (s *State) StableCount() int {
 
 // sync brings the detector masks in line with the current levels: a
 // full O(n+m) rebuild the first time (or when the snapshot switched
-// graph or semantics), an O(dirty · deg²) incremental update afterward.
+// graph, semantics, exclusion mask or immutable caps), an incremental
+// update of the pending re-captured words afterward.
 func (s *State) sync() {
 	d := &s.det
-	if d.g != s.g || d.n != len(s.levels) || d.two != s.twoChannel || d.capsMut != s.capsMutable || d.exGen != s.exGen {
+	if d.stale || d.g != s.g || d.n != len(s.levels) || d.two != s.twoChannel || d.capsMut != s.capsMutable || d.exGen != s.exGen {
 		s.rebuildDetector()
-		return
+	} else {
+		s.updateDetector()
 	}
-	s.updateDetector()
+	s.pendAll = false
+	if s.pendSet {
+		clear(s.pendWords)
+		s.pendSet = false
+	}
 }
 
-// rebuildDetector recomputes I_t and S_t from scratch and records the
-// level snapshot the masks correspond to.
+// resizeZeroed returns buf resized to n entries, all zero.
+func resizeZeroed(buf []int32, n int) []int32 {
+	if cap(buf) < n {
+		return make([]int32, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
+}
+
+// rebuildDetector recomputes the counters, I_t and S_t from scratch and
+// records the level snapshot they correspond to. Each pass pushes along
+// the rows of only the vertices it counts (correct vertices off their
+// cap, then I_t members), so no row scan nests.
 func (s *State) rebuildDetector() {
 	d := &s.det
 	n := len(s.levels)
-	d.g, d.n, d.two, d.capsMut, d.exGen = s.g, n, s.twoChannel, s.capsMutable, s.exGen
+	d.g, d.n, d.two, d.capsMut, d.exGen, d.stale = s.g, n, s.twoChannel, s.capsMutable, s.exGen, false
+	d.notCap = resizeZeroed(d.notCap, n)
+	d.misNbr = resizeZeroed(d.misNbr, n)
 	d.mis.Resize(n)
 	d.stable.Resize(n)
 	for v := 0; v < n; v++ {
-		if s.InMIS(v) {
+		if !s.Excluded(v) && s.levels[v] != s.caps[v] {
+			for _, u := range s.neighbors(v) {
+				d.notCap[u]++
+			}
+		}
+	}
+	for v := 0; v < n; v++ {
+		if s.member(v) {
 			d.mis.Set1(v)
+			for _, u := range s.neighbors(v) {
+				d.misNbr[u]++
+			}
 		}
 	}
 	for v := 0; v < n; v++ {
 		// Excluded vertices are vacuously stable: the legality predicate
 		// speaks only about the correct induced subgraph.
-		if s.Excluded(v) || d.mis.Get(v) {
+		if s.Excluded(v) || d.mis.Get(v) || d.misNbr[v] > 0 {
 			d.stable.Set1(v)
-			continue
-		}
-		for _, u := range s.neighbors(v) {
-			if d.mis.Get(int(u)) {
-				d.stable.Set1(v)
-				break
-			}
 		}
 	}
 	if d.stable.All() { // word-at-a-time scan against ^0
@@ -403,120 +510,145 @@ func (s *State) rebuildDetector() {
 		d.unstable = n - d.stable.OnesCount()
 	}
 	d.prevLevels = append(d.prevLevels[:0], s.levels...)
-	d.prevCaps = append(d.prevCaps[:0], s.caps...)
-	if cap(d.mark) < n {
-		d.mark = make([]uint32, n)
-	} else {
-		d.mark = d.mark[:n]
-		for i := range d.mark {
-			d.mark[i] = 0
-		}
-	}
-	d.epoch = 0
-}
-
-// bumpEpoch starts a new dedup pass; on the (rare) wraparound it clears
-// the marks so stale epochs can never alias.
-func (d *detector) bumpEpoch() {
-	d.epoch++
-	if d.epoch == 0 {
-		for i := range d.mark {
-			d.mark[i] = 0
-		}
-		d.epoch = 1
-	}
-}
-
-// push appends v to the candidate list unless it was already queued in
-// this epoch.
-func (d *detector) push(v int32) {
-	if d.mark[v] != d.epoch {
-		d.mark[v] = d.epoch
-		d.cand = append(d.cand, v)
-	}
-}
-
-// updateDetector is the dirty-set incremental step. Correctness rests
-// on two locality facts: InMIS(v) reads only the levels of N⁺(v), so it
-// can change only for v in N⁺(dirty); and Stable(v) reads only the
-// I_t bits of N⁺(v), so it can change only for v in N⁺(flipped). The
-// amortized cost is O(Σ_{v dirty} deg(v) + Σ_{v flipped} Σ_{u∈N⁺(v)}
-// deg(u)); a round in which no level changed costs one linear int32
-// compare over the level array and nothing else.
-func (s *State) updateDetector() {
-	d := &s.det
-	// Phase 0: diff against the snapshot the masks were derived from.
-	// With immutable caps (Alg1/Alg2) the scan touches levels only; the
-	// adaptive protocol mutates caps too, so those are diffed as well.
-	d.dirty = d.dirty[:0]
 	if d.capsMut {
-		cur, prev := s.levels[:d.n], d.prevLevels[:d.n]
-		curC, prevC := s.caps[:d.n], d.prevCaps[:d.n]
-		for v := range cur {
-			if cur[v] != prev[v] || curC[v] != prevC[v] {
-				d.dirty = append(d.dirty, int32(v))
-				prev[v] = cur[v]
-				prevC[v] = curC[v]
-			}
-		}
+		d.prevCaps = append(d.prevCaps[:0], s.caps...)
 	} else {
-		cur, prev := s.levels[:d.n], d.prevLevels[:d.n]
-		for v := range cur {
-			if cur[v] != prev[v] {
-				d.dirty = append(d.dirty, int32(v))
-				prev[v] = cur[v]
+		d.prevCaps = nil
+	}
+}
+
+// member evaluates I_t membership of v from the counters: correct, at
+// the algorithm's membership level, and no correct neighbor off its
+// cap. It agrees with InMIS whenever notCap is synchronized.
+func (s *State) member(v int) bool {
+	if s.Excluded(v) {
+		return false
+	}
+	want := -s.caps[v]
+	if s.twoChannel {
+		want = 0
+	}
+	return s.levels[v] == want && s.det.notCap[v] == 0
+}
+
+// updateDetector is the incremental step: it diffs the pending
+// re-captured levels (every vertex after a full Refresh, only the
+// engine's changed words otherwise) against the snapshot the counters
+// were derived from, and applies each difference through moved.
+// Correctness rests on two locality facts: I_t membership of v reads
+// only ℓ(v), ℓmax(v) and notCap[v], which a level change at u moves
+// only when u crosses its cap boundary; and S_t membership of v reads
+// only v's own I_t bit and misNbr[v], which moves only when a neighbor
+// flips I_t membership. Applying the moves one by one leaves every
+// counter exact, and every bit is re-evaluated after the last move
+// touching its inputs, so the result equals the full recompute.
+func (s *State) updateDetector() {
+	if s.pendAll {
+		s.diffRange(0, len(s.levels))
+		return
+	}
+	if !s.pendSet {
+		return
+	}
+	n := len(s.levels)
+	for mi, m := range s.pendWords {
+		for m != 0 {
+			b := bits.TrailingZeros64(m)
+			m &= m - 1
+			lo := (mi<<6 + b) << 6
+			hi := lo + 64
+			if hi > n {
+				hi = n
+			}
+			s.diffRange(lo, hi)
+		}
+	}
+}
+
+// diffRange applies every level (and mutable cap) change of the
+// vertices [lo, hi) and advances the snapshot the counters describe.
+func (s *State) diffRange(lo, hi int) {
+	d := &s.det
+	cur, prev := s.levels, d.prevLevels
+	if d.capsMut {
+		curC, prevC := s.caps, d.prevCaps
+		for v := lo; v < hi; v++ {
+			if cur[v] != prev[v] || curC[v] != prevC[v] {
+				s.moved(v, prev[v], prevC[v])
+				prev[v], prevC[v] = cur[v], curC[v]
 			}
 		}
-	}
-	if len(d.dirty) == 0 {
 		return
 	}
-	// Phase 1: re-evaluate I_t membership on N⁺(dirty), collecting the
-	// vertices whose membership flipped.
-	d.bumpEpoch()
-	d.cand = d.cand[:0]
-	for _, vi := range d.dirty {
-		d.push(vi)
-		for _, u := range s.neighbors(int(vi)) {
-			d.push(u)
+	for v := lo; v < hi; v++ {
+		if cur[v] != prev[v] {
+			s.moved(v, prev[v], s.caps[v])
+			prev[v] = cur[v]
 		}
 	}
-	d.flips = d.flips[:0]
-	for _, vi := range d.cand {
-		if d.mis.SetTo(int(vi), s.InMIS(int(vi))) {
-			d.flips = append(d.flips, vi)
-		}
-	}
-	if len(d.flips) == 0 {
-		return
-	}
-	// Phase 2: re-evaluate stability on N⁺(flipped), maintaining the
-	// global unstable count.
-	d.bumpEpoch()
-	d.cand = d.cand[:0]
-	for _, vi := range d.flips {
-		d.push(vi)
-		for _, u := range s.neighbors(int(vi)) {
-			d.push(u)
-		}
-	}
-	for _, vi := range d.cand {
-		v := int(vi)
-		now := d.mis.Get(v) || s.Excluded(v)
-		if !now {
-			for _, u := range s.neighbors(v) {
-				if d.mis.Get(int(u)) {
-					now = true
-					break
+}
+
+// moved applies one vertex's change from (oldLevel, oldCap) to its
+// current values: when a correct v crosses its cap boundary, the
+// notCap counters of its neighbors move by one and a neighbor whose
+// counter reaches or leaves zero is re-evaluated; v itself is always
+// re-evaluated (its level, and under the adaptive heuristic its
+// membership level, moved). Excluded vertices are invisible to their
+// neighbors, so only their own (constant false) membership is touched.
+func (s *State) moved(v int, oldLevel, oldCap int32) {
+	d := &s.det
+	if !s.Excluded(v) {
+		if was, now := oldLevel == oldCap, s.levels[v] == s.caps[v]; was != now {
+			delta := int32(-1)
+			if was {
+				delta = 1
+			}
+			for _, u := range s.neighborsNested(v) {
+				before := d.notCap[u]
+				d.notCap[u] = before + delta
+				if (before == 0) != (before+delta == 0) {
+					s.recheckMIS(int(u))
 				}
 			}
 		}
-		if d.stable.SetTo(v, now) {
-			if now {
-				d.unstable--
-			} else {
-				d.unstable++
-			}
+	}
+	s.recheckMIS(v)
+}
+
+// recheckMIS re-evaluates v's I_t bit; on a flip it moves the misNbr
+// counters of v's neighbors and re-evaluates the S_t bits whose inputs
+// changed (v's own, and every neighbor whose counter reached or left
+// zero).
+func (s *State) recheckMIS(v int) {
+	d := &s.det
+	in := s.member(v)
+	if !d.mis.SetTo(v, in) {
+		return
+	}
+	delta := int32(-1)
+	if in {
+		delta = 1
+	}
+	s.recheckStable(v)
+	for _, u := range s.neighbors(v) {
+		before := d.misNbr[u]
+		d.misNbr[u] = before + delta
+		if (before == 0) != (before+delta == 0) {
+			s.recheckStable(int(u))
+		}
+	}
+}
+
+// recheckStable re-evaluates v's S_t bit, maintaining the unstable
+// count.
+func (s *State) recheckStable(v int) {
+	d := &s.det
+	now := s.Excluded(v) || d.mis.Get(v) || d.misNbr[v] > 0
+	if d.stable.SetTo(v, now) {
+		if now {
+			d.unstable--
+		} else {
+			d.unstable++
 		}
 	}
 }

@@ -89,53 +89,6 @@ func BenchmarkWholeRunFlat10M(b *testing.B) {
 	benchWholeRun(b, graph.ImplicitTorus(2500, 4000), 3)
 }
 
-// BenchmarkRecoveryFlat1M times the self-stabilization scenario itself:
-// from a stabilized n = 10⁶ configuration, corrupt 64 random vertex
-// states and run until the legality probe accepts again. The
-// perturbation is local, so the sparse frontier stays proportional to
-// the corrupted neighborhoods where a dense round would re-pay O(n) —
-// this regime, not cold-start convergence, is where activity gating
-// changes the complexity class of a round. Each iteration is one whole
-// corrupt → re-stabilize run (probe included, as in every experiment);
-// corruption vertices are redrawn per iteration from a fixed stream.
-func BenchmarkRecoveryFlat1M(b *testing.B) {
-	if testing.Short() {
-		b.Skip("n=10^6 recovery benchmark skipped in -short mode")
-	}
-	t := graph.ImplicitTorus(1000, 1000)
-	proto := core.NewAlg1(core.KnownMaxDegreeExact(core.DefaultC1KnownDelta))
-	net, err := beep.NewNetwork(t, proto, 3, beep.WithEngine(beep.Flat))
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer net.Close()
-	net.RandomizeAll()
-	var probe core.State
-	stop := func() bool { return probe.Refresh(net) == nil && probe.Stabilized() }
-	if _, ok := net.Run(10_000_000, stop); !ok {
-		b.Fatal("no initial stabilization")
-	}
-	faults := rng.New(17)
-	totalRounds := 0
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		perm := faults.Perm(t.N())
-		b.StartTimer()
-		if err := net.Corrupt(perm[:64]); err != nil {
-			b.Fatal(err)
-		}
-		before := net.Round()
-		if _, ok := net.Run(1_000_000, stop); !ok {
-			b.Fatal("no recovery")
-		}
-		totalRounds += net.Round() - before
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(totalRounds)/float64(b.N), "rounds")
-}
-
 // BenchmarkSparseRound benches the steady-state round — the regime a
 // perpetually-running self-stabilizing protocol spends its life in.
 // The network is stabilized before the timed loop, so the sparse path's
