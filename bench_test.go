@@ -112,12 +112,11 @@ func benchEngine(b *testing.B, engine beep.Engine, n int, opts ...beep.Option) {
 func BenchmarkRoundSequential4k(b *testing.B) { benchEngine(b, beep.Sequential, 4096) }
 func BenchmarkRoundFlat4k(b *testing.B)       { benchEngine(b, beep.Flat, 4096) }
 
-// BenchmarkRoundFlatParallel4k runs the sharded flat engine with its
+// BenchmarkRoundFlatParallel4k runs the striped flat engine with its
 // default worker count (GOMAXPROCS); the W-suffixed variants pin
-// explicit counts for the scaling table in BENCH_parflat.json. W1 is
-// the sharding-overhead floor: the same stripe kernels and merge
-// phases on a single worker, so (W1 − Flat) is the price of the
-// machinery and (W1 − Wk) is the parallel payoff.
+// explicit counts for BENCH_parflat.json. W1 is one stripe, which runs
+// inline like Flat, so (W1 − Flat) should read as noise and (W1 − Wk)
+// is the parallel payoff net of the pool's barriers.
 func BenchmarkRoundFlatParallel4k(b *testing.B) { benchEngine(b, beep.FlatParallel, 4096) }
 func BenchmarkRoundFlatParallel4kW1(b *testing.B) {
 	benchEngine(b, beep.FlatParallel, 4096, beep.WithWorkers(1))
@@ -188,11 +187,11 @@ func BenchmarkRoundFlat1M(b *testing.B) {
 }
 
 // BenchmarkRoundFlatParallel1M is BenchmarkRoundFlat1M through the
-// sharded engine, with sub-benchmarks per worker count: the scaling
+// striped engine, with sub-benchmarks per worker count: the scaling
 // measurement behind BENCH_parflat.json. Skipped under -short for the
 // same reason (UnitDisk generation at n = 10⁶ takes seconds). Combine
 // with -cpu to also scale GOMAXPROCS; with a single allotted CPU the
-// worker counts measure sharding overhead, not speedup.
+// pooled worker counts measure pool overhead, not speedup.
 func BenchmarkRoundFlatParallel1M(b *testing.B) {
 	if testing.Short() {
 		b.Skip("n=10^6 round benchmark skipped in -short mode")

@@ -93,7 +93,7 @@ func run(args []string) (retErr error) {
 	deadline := fs.Duration("deadline", 0, "wall-clock deadline per attempt, e.g. 30s (0 = none)")
 	maxRetries := fs.Int("max-retries", 0, "budget escalations after the first attempt (the run is extended, not restarted)")
 	engineName := fs.String("engine", "sequential", "round engine: sequential | flat | flatparallel")
-	workers := fs.Int("workers", 0, "worker count for the flatparallel engine (0 = GOMAXPROCS; ignored by the single-goroutine engines)")
+	workers := fs.Int("workers", 0, "stripe count of the flatparallel engine, one pool worker per stripe (0 = GOMAXPROCS; stripes are 64-vertex aligned, and one stripe runs inline like flat; ignored by sequential and flat)")
 	distributed := fs.Bool("distributed", false, "run over partitioned workers (coordinator + N beepworkers)")
 	partitions := fs.Int("partitions", 2, "worker partition count for -distributed")
 	workerBin := fs.String("worker-bin", "", "beepworker binary for -distributed (empty = in-process workers)")

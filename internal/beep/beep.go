@@ -19,9 +19,10 @@
 // factory. Rounds run on one of two strategies that are trace-equivalent
 // for a fixed seed: the reference per-machine interface loop
 // (Sequential with WithFlatKernels(false), and Sequential for protocols
-// without kernels), and the flat cohort kernels over structure-of-arrays
-// slabs (Flat on one goroutine, FlatParallel striped over a worker
-// pool; kernel-capable Sequential upgrades to them transparently).
+// without kernels), and the flat engine, which runs range kernels over
+// structure-of-arrays slabs on a number of vertex stripes (one for Flat
+// and kernel-capable Sequential, which upgrades transparently, run
+// inline; one per pool worker for FlatParallel).
 package beep
 
 import (
@@ -120,17 +121,18 @@ const (
 	// was not disabled; otherwise it runs the reference per-machine
 	// interface loop, the semantics every other path is pinned against.
 	Sequential Engine = iota + 1
-	// Flat executes rounds over structure-of-arrays slabs with
-	// whole-cohort kernels and bitset beep delivery (see flat.go). It
-	// requires the protocol's bulk state to implement FlatProtocol.
+	// Flat executes rounds over structure-of-arrays slabs with range
+	// kernels and bitset beep delivery, as one stripe on the calling
+	// goroutine (see flat.go). It requires the protocol's bulk state to
+	// implement FlatProtocol.
 	Flat
-	// FlatParallel stripes the flat cohort kernels over a worker pool:
-	// contiguous 64-vertex-aligned slab stripes per worker for
-	// emit/update, word-range-partitioned sender packing, and per-worker
-	// scatter masks merged by word-range ownership for delivery (see
-	// flatparallel.go). Like Flat it requires FlatProtocol kernels, and
-	// it is trace-equivalent to the sequential reference for a fixed
-	// seed.
+	// FlatParallel is the same flat round with one 64-vertex-aligned
+	// stripe per pool worker (WithWorkers, default GOMAXPROCS): striped
+	// emit/update kernels and sender packing, and per-stripe scatter
+	// masks merged by word-range ownership for delivery (see flat.go).
+	// A network that gets one stripe runs inline, exactly like Flat.
+	// Like Flat it requires FlatProtocol kernels, and it is
+	// trace-equivalent to the sequential reference for a fixed seed.
 	FlatParallel
 )
 

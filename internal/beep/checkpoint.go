@@ -328,13 +328,11 @@ func (n *Network) Restore(c *Checkpoint) error {
 	n.round = c.Round
 	// The sent/heard arrays still describe the pre-restore execution,
 	// which invalidates the sparse path's frontier and sender-bit
-	// baselines.
-	n.sparse.markAll()
-	// The restored state shares nothing with whatever baseline the
-	// dirty tracker held; the next checkpoint must be a full base.
-	n.ckDirty.markAll()
+	// baselines; the restored state shares nothing with whatever
+	// baseline the dirty tracker held, so the next checkpoint must be a
+	// full base.
+	n.markAll()
 	n.ckDirty.adv = true
-	n.probe.markAll()
 	return nil
 }
 

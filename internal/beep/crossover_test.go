@@ -21,16 +21,20 @@ func (xoverMachine) Emit(*rng.Source) Signal { return Silent }
 func (xoverMachine) Update(_, _ Signal)      {}
 func (xoverMachine) Randomize(*rng.Source)   {}
 
-// deliverScatter computes heard via the sparse path (pack → scatter →
-// compose), regardless of the cost model.
+// scatterPhases runs the scatter delivery's stripe phases (pack →
+// scatter → merge), regardless of the cost model.
+func scatterPhases(n *Network) {
+	n.sizeDeliveryBits()
+	n.prepareStripes(nil, 0)
+	n.runStripes(phasePack)
+	n.runStripes(phaseScatter)
+	n.runStripes(phaseMerge)
+}
+
+// deliverScatter computes heard via the scatter path, regardless of the
+// cost model.
 func deliverScatter(n *Network) []Signal {
-	N := n.N()
-	for c := 0; c < n.channels; c++ {
-		n.sizeSendBits(c)
-		n.packSendersRange(c, 0, N)
-		n.scatterChannel(c)
-	}
-	n.composeHeard()
+	scatterPhases(n)
 	return append([]Signal(nil), n.heard...)
 }
 
@@ -121,10 +125,7 @@ func BenchmarkDeliverCrossover(b *testing.B) {
 		b.Run(fmt.Sprintf("scatter/frac%02d", fracPct), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				net.sizeSendBits(0)
-				net.packSendersRange(0, 0, N)
-				net.scatterChannel(0)
-				net.composeHeard()
+				scatterPhases(net)
 			}
 		})
 		b.Run(fmt.Sprintf("gather/frac%02d", fracPct), func(b *testing.B) {

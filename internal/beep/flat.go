@@ -14,9 +14,8 @@ import (
 // structure-of-arrays machine slabs with zero per-vertex virtual
 // dispatch. Protocols opt in by returning a bulk-state handle (see
 // BatchProtocol) that implements FlatProtocol; the engine then replaces
-// the per-machine Emit/Update interface calls with two whole-cohort
-// kernel calls, and replaces the per-edge signal scatter with a
-// bitset-based delivery kernel (deliverFlat below).
+// the per-machine Emit/Update interface calls with range kernel calls,
+// and replaces the per-edge signal scatter with bitset-based delivery.
 //
 // The flat path is observationally identical to the reference loop:
 // each vertex consumes exactly the draws its Machine.Emit would have
@@ -24,23 +23,60 @@ import (
 // (enforced by TestEngineTraceEquivalence and FuzzFlatEmitDrawEquivalence).
 // Because of that, the Sequential engine transparently upgrades to the
 // flat kernels whenever the protocol provides them; the explicit Flat
-// engine additionally *requires* them (construction fails otherwise,
-// making performance predictable).
+// and FlatParallel engines additionally *require* them (construction
+// fails otherwise, making performance predictable).
 //
-// Fault-free rounds run the activity-gated kernels of sparse.go; the
-// dense whole-cohort step below runs only on fault-model rounds (sleep,
-// adversaries, noise), whose skip masks and shared-stream draws the
-// sparse path does not model.
+// Stripes. There is one flat engine, with a stripe count: a round runs
+// its phases over contiguous vertex stripes [lo, hi). Sequential and
+// Flat use one stripe, FlatParallel one per pool worker (poolSize).
+// With one stripe the phases run inline on the calling goroutine, and
+// the stripe's scatter target and neighbor scratch are the network's
+// own; with more, the same phase functions run on the sense-reversing
+// worker pool of network.go, one stripe per worker. Stripes are padded
+// to 64-vertex multiples, so a stripe owns exactly the 64-bit words
+// [lo/64, ceil(hi/64)) of every per-vertex bitset: stripes write
+// disjoint cache lines of the sent/heard signal arrays and disjoint
+// words of the sender/heard bitsets, with no atomics on the hot path.
+//
+// Round structure (a barrier after each phase when pooled):
+//
+//	emit    — each stripe runs its range kernel on a private FlatEnv
+//	pack    — each stripe packs sent[lo:hi) into its words of the
+//	          per-channel sender bitsets, counting its senders (the
+//	          sparse round repacks incrementally instead, see sparse.go)
+//	scatter — each stripe ORs the CSR rows of the senders found in ITS
+//	          words into its scratch heard masks (writes land anywhere,
+//	          but only in stripe-private storage — or, with one stripe,
+//	          in the heard bitsets themselves)
+//	merge   — each stripe owns its words of the final heard bitsets: it
+//	          ORs that word of every active stripe's scratch and
+//	          composes the heard signals of its own vertices
+//	gather  — instead of scatter + merge when many vertices send: the
+//	          reference early-exit neighbor scan deliverRange(lo, hi)
+//	update  — each stripe runs its range kernel
+//
+// Fault-free rounds run the activity-gated body of sparse.go; the dense
+// body below runs only on fault-model rounds (sleep, adversaries,
+// noise), whose skip masks and shared-stream draws the sparse path does
+// not model. The pre-phases that consume shared streams run on the
+// calling goroutine, exactly as in the reference loop.
+//
+// Determinism. Each vertex consumes randomness only from its own
+// private stream, and each stripe touches only its own vertices'
+// streams and sent entries, so the draws every vertex sees are
+// independent of the stripe count and of scheduling (enforced by
+// TestEngineTraceEquivalence, TestFlatParallelWorkerCountInvariance and
+// the churn/chaos matrices).
 
 // FlatEnv is the execution environment the flat engine passes to a
 // FlatProtocol's kernels for one round phase. The slices alias network
 // storage and must not be retained.
 type FlatEnv struct {
-	// Sent is the per-vertex signal array of the round. EmitAll must
-	// fill Sent[v] for every vertex whose Skip bit is clear and leave
-	// skipped entries untouched (the engine pre-fills those).
+	// Sent is the per-vertex signal array of the round. EmitRange must
+	// fill Sent[v] for every vertex of its range whose Skip bit is clear
+	// and leave skipped entries untouched (the engine pre-fills those).
 	Sent []Signal
-	// Heard is the OR of neighbor signals, valid during UpdateAll.
+	// Heard is the OR of neighbor signals, valid during the update.
 	Heard []Signal
 	// Srcs are the private per-vertex random streams. Kernels must
 	// consume them exactly as the corresponding Machine.Emit would, so
@@ -66,22 +102,19 @@ func (e *FlatEnv) Skipped(v int) bool {
 }
 
 // FlatProtocol is the optional extension implemented by the bulk-state
-// handles of protocols that support the flat engines (for the paper's
+// handles of protocols that support the flat engine (for the paper's
 // protocols these are the contiguous int32 level/cap slabs introduced
-// with BatchProtocol). EmitAll and UpdateAll must be observationally
-// identical to calling Emit/Update on every non-skipped machine in
-// vertex order.
+// with BatchProtocol).
 //
-// The range forms are the unit of work of the FlatParallel engine: each
-// worker runs one contiguous slab stripe [lo, hi). EmitRange(env, lo,
-// hi) must behave exactly like the [lo, hi) sub-loop of EmitAll —
-// touching only Sent[lo:hi] and the streams of vertices in [lo, hi), so
-// disjoint stripes never write shared state — and EmitAll(env) must be
-// equivalent to EmitRange(env, 0, len(Sent)) (same for UpdateAll /
+// The range forms are the unit of work: each stripe runs one contiguous
+// slab range [lo, hi). EmitRange(env, lo, hi) must be observationally
+// identical to calling Emit on every non-skipped machine of [lo, hi) in
+// vertex order, touching only Sent[lo:hi] and the streams of vertices
+// in [lo, hi), so disjoint stripes never write shared state (same for
 // UpdateRange). Because each vertex consumes randomness only from its
 // own private stream, stripes can execute in any order or concurrently
 // without perturbing any vertex's draw sequence: that is the whole
-// determinism argument of the parallel flat engine.
+// determinism argument of the striped engine.
 //
 // The sparse forms are the activity-gated kernels of sparse.go. act
 // and upd are word-activity masks: bit wi of act[wi/64] gates slab word
@@ -93,18 +126,15 @@ func (e *FlatEnv) Skipped(v int) bool {
 // contract), and neither sets output bits of unmarked words (the
 // engine clears the masks).
 //
-// Each worker passes its own FlatEnv and output masks, so the
+// Each stripe passes its own FlatEnv and output masks, so the
 // Drew/Changed flags and mask bits are per-stripe and race-free; the
-// engine ORs them after the barrier.
+// engine ORs them after the phase.
 type FlatProtocol interface {
-	// EmitAll decides every non-skipped vertex's signal for the round.
-	EmitAll(env *FlatEnv)
-	// UpdateAll applies every non-skipped vertex's state transition
-	// given the round's Sent and Heard signals.
-	UpdateAll(env *FlatEnv)
-	// EmitRange is the [lo, hi) stripe of EmitAll.
+	// EmitRange decides the signal of every non-skipped vertex of
+	// [lo, hi) for the round.
 	EmitRange(env *FlatEnv, lo, hi int)
-	// UpdateRange is the [lo, hi) stripe of UpdateAll.
+	// UpdateRange applies the state transition of every non-skipped
+	// vertex of [lo, hi) given the round's Sent and Heard signals.
 	UpdateRange(env *FlatEnv, lo, hi int)
 	// EmitSparse is EmitRange over the words of [lo, hi) marked in act.
 	EmitSparse(env *FlatEnv, act, drewW []uint64, lo, hi int)
@@ -124,11 +154,13 @@ type FlatReiniter interface {
 	ReinitAll(g graph.Topology)
 }
 
-// WithFlatKernels enables or disables the flat fast path on the
-// Sequential engine (default: enabled when the protocol provides it).
+// WithFlatKernels enables or disables the flat kernels on the
+// Sequential engine (default: enabled when the protocol provides them).
 // Disabling forces the reference per-machine loop; the engine
 // trace-equivalence tests use this to pin the flat kernels against the
-// reference semantics. The Flat and FlatParallel engines reject it.
+// reference semantics. With the kernels enabled, Sequential runs the
+// same one-stripe flat round as Flat. The Flat and FlatParallel engines
+// reject it.
 func WithFlatKernels(enabled bool) Option {
 	return func(n *Network) { n.noFlat = !enabled }
 }
@@ -167,10 +199,8 @@ func (n *Network) bindFlatOps() {
 	// cohort or topology: the sparse path must restart from an
 	// all-active frontier and rebuild its delivery invariants densely,
 	// and any incremental-checkpoint baseline is void.
-	n.sparse.markAll()
-	n.ckDirty.markAll()
+	n.markAll()
 	n.ckDirty.adv = true
-	n.probe.markAll()
 	if n.noFlat {
 		return
 	}
@@ -179,32 +209,147 @@ func (n *Network) bindFlatOps() {
 	}
 }
 
-// stepFlat executes one dense synchronous round through the flat
-// kernels — the fault-model round of the single-goroutine flat path:
-// sequential pre-phases (sleep/adversary draws) exactly as the
-// reference loop runs them, whole-cohort emit, bitset delivery, the
-// sequential noise pass, and whole-cohort update. Machine panics inside
-// a kernel are contained into a *RunError like the reference loop's;
-// the flat kernels process the cohort as a whole, so the error cannot
-// name the vertex (Vertex is -1).
-func (n *Network) stepFlat() *RunError {
-	n.drawSleep()
-	n.drawAdversaries()
-	env := &n.flatEnv
-	env.Sent, env.Heard, env.Srcs = n.sent, n.heard, n.srcs
-	env.Skip = n.buildFlatSkip()
-	env.Drew, env.Changed = false, false
-	if err := n.runFlatKernel("emit", env); err != nil {
-		return err
-	}
-	n.deliverFlat()
-	n.applyNoise()
-	return n.runFlatKernel("update", env)
+// stripe is one vertex range [lo, hi) of the flat round, with the state
+// its phases write. The trailing pad keeps the per-round mutable fields
+// of adjacent stripes on different cache lines.
+type stripe struct {
+	lo, hi int
+	// env is the stripe's kernel environment; Drew/Changed are
+	// per-stripe.
+	env FlatEnv
+	// scratch is the scatter target: the network's heard bitsets when
+	// there is one stripe, private full-length masks otherwise. Valid
+	// only when active.
+	scratch *[2]bitset.Set
+	// row is the neighbor scratch for synthesizing backends (the
+	// network's rowBuf when there is one stripe); nil on the
+	// materialized fast path.
+	row []int32
+	// senders is the pack phase's sender count (all channels).
+	senders int
+	// drewW / changedW are the sparse kernels' output masks (full mask
+	// length, sized lazily). Each stripe clears its own at phase start
+	// and the round ORs them after the phase.
+	drewW, changedW []uint64
+	// active reports that the stripe reset and scattered into scratch
+	// this round; merge skips inactive stripes.
+	active bool
+	_      [64]byte
 }
 
-// runFlatKernel invokes one cohort kernel (phase "emit" or "update")
-// with the same panic containment contract as emitRange/updateRange.
-func (n *Network) runFlatKernel(phase string, env *FlatEnv) (rerr *RunError) {
+// Phases of the striped round, run per stripe by stripePhase.
+const (
+	phaseExit = iota // pool shutdown
+	phaseEmit
+	phaseSparseEmit
+	phasePack
+	phaseScatter
+	phaseMerge
+	phaseGather
+	phaseUpdate
+	phaseSparseUpdate
+)
+
+// buildStripes lays out the stripes for the current vertex count —
+// poolSize() of them for FlatParallel, one otherwise — and (re)starts
+// the worker pool when there is more than one. Called at construction
+// and after Rewire: stripe boundaries are a function of N, so no stripe
+// state survives a topology change.
+func (n *Network) buildStripes() {
+	if n.workers != nil {
+		n.workers.close()
+		n.workers = nil
+	}
+	k := 1
+	if n.engine == FlatParallel {
+		k = n.poolSize()
+	}
+	N := n.N()
+	per := ((N+k-1)/k + 63) &^ 63
+	n.stripes = make([]stripe, 0, k)
+	for lo := 0; ; lo += per {
+		hi := min(lo+per, N)
+		n.stripes = append(n.stripes, stripe{lo: lo, hi: hi})
+		if hi == N {
+			break
+		}
+	}
+	if len(n.stripes) == 1 {
+		n.stripes[0].scratch, n.stripes[0].row = &n.heardBits, n.rowBuf
+		return
+	}
+	for i := range n.stripes {
+		st := &n.stripes[i]
+		st.scratch = new([2]bitset.Set)
+		if n.csr == nil {
+			st.row = make([]int32, n.g.MaxDegree())
+		}
+	}
+	n.workers = newWorkerPool(n)
+}
+
+// prepareStripes starts a round on every stripe: a fresh kernel
+// environment and no scatter state, plus output masks of mw words for a
+// sparse round (mw = 0 for a dense one).
+func (n *Network) prepareStripes(skip *bitset.Set, mw int) {
+	for i := range n.stripes {
+		st := &n.stripes[i]
+		st.env = FlatEnv{Sent: n.sent, Heard: n.heard, Srcs: n.srcs, Skip: skip}
+		st.active = false
+		if mw > 0 && len(st.drewW) != mw {
+			st.drewW, st.changedW = make([]uint64, mw), make([]uint64, mw)
+		}
+	}
+}
+
+// runStripes runs one phase on every stripe — inline when there is one,
+// on the worker pool otherwise — and returns the first contained kernel
+// panic.
+func (n *Network) runStripes(phase int) *RunError {
+	if p := n.workers; p != nil {
+		p.runPhase(phase)
+		return p.takeError()
+	}
+	return n.stripePhase(phase, &n.stripes[0])
+}
+
+// stripePhase runs one phase of the round on one stripe.
+func (n *Network) stripePhase(phase int, st *stripe) *RunError {
+	switch phase {
+	case phaseEmit:
+		return n.rangeKernel("emit", &st.env, nil, nil, st.lo, st.hi)
+	case phaseSparseEmit:
+		clearMask(st.drewW)
+		return n.rangeKernel("emit", &st.env, n.sparse.act, st.drewW, st.lo, st.hi)
+	case phasePack:
+		st.senders = 0
+		for c := 0; c < n.channels; c++ {
+			st.senders += n.packSendersRange(c, st.lo, st.hi)
+		}
+	case phaseScatter:
+		n.scatterStripe(st)
+	case phaseMerge:
+		n.mergeStripe(st)
+	case phaseGather:
+		n.deliverRange(st.lo, st.hi, st.row)
+	case phaseUpdate:
+		return n.rangeKernel("update", &st.env, nil, nil, st.lo, st.hi)
+	case phaseSparseUpdate:
+		clearMask(st.changedW)
+		return n.rangeKernel("update", &st.env, n.sparse.updW, st.changedW, st.lo, st.hi)
+	}
+	return nil
+}
+
+// rangeKernel runs one flat kernel (phase "emit" or "update") over the
+// vertex range [lo, hi): the range form when gate is nil, otherwise the
+// activity-gated form over the words marked in gate, writing out. It is
+// the one kernel entry point of the striped round and of Partition, and
+// it contains machine panics like emitRange/updateRange: the recovery
+// happens in this frame, so a pool worker still joins its barrier. A
+// kernel processes its range as a whole, so the error cannot name the
+// vertex (Vertex is -1).
+func (n *Network) rangeKernel(phase string, env *FlatEnv, gate, out []uint64, lo, hi int) (rerr *RunError) {
 	defer func() {
 		if r := recover(); r != nil {
 			rerr = &RunError{
@@ -213,12 +358,39 @@ func (n *Network) runFlatKernel(phase string, env *FlatEnv) (rerr *RunError) {
 			}
 		}
 	}()
-	if phase == "emit" {
-		n.flatOps.EmitAll(env)
-	} else {
-		n.flatOps.UpdateAll(env)
+	switch {
+	case gate == nil && phase == "emit":
+		n.flatOps.EmitRange(env, lo, hi)
+	case gate == nil:
+		n.flatOps.UpdateRange(env, lo, hi)
+	case phase == "emit":
+		n.flatOps.EmitSparse(env, gate, out, lo, hi)
+	default:
+		n.flatOps.UpdateSparse(env, gate, out, lo, hi)
 	}
 	return nil
+}
+
+// stepStripedDense executes one dense round through the flat kernels —
+// the fault-model round: the sleep/adversary draws and the skip mask
+// exactly as the reference loop runs them, striped emit, pack and
+// delivery, the sequential noise pass, and striped update.
+func (n *Network) stepStripedDense() *RunError {
+	n.drawSleep()
+	n.drawAdversaries()
+	n.prepareStripes(n.buildFlatSkip(), 0)
+	if err := n.runStripes(phaseEmit); err != nil {
+		return err
+	}
+	n.sizeDeliveryBits()
+	n.runStripes(phasePack)
+	senders := 0
+	for i := range n.stripes {
+		senders += n.stripes[i].senders
+	}
+	n.deliverStriped(senders)
+	n.applyNoise()
+	return n.runStripes(phaseUpdate)
 }
 
 // buildFlatSkip assembles the per-round skip mask (sleeping and
@@ -282,9 +454,8 @@ var zeroSignals [64]Signal
 // is invisible to traces.
 const GatherCrossoverFactor = 2
 
-// deliveryWantsGather applies the crossover cost model shared by the
-// sequential flat engine and the parallel one (where senders is the sum
-// of the per-worker pack counts).
+// deliveryWantsGather applies the crossover cost model to the round's
+// sender count (all channels, all stripes).
 func deliveryWantsGather(senders, avgDeg, N int) bool {
 	return senders*(avgDeg+1) > GatherCrossoverFactor*N
 }
@@ -299,48 +470,42 @@ func (n *Network) avgDegree() int {
 	return 2 * n.g.M() / N
 }
 
-// deliverFlat computes heard[v] for every vertex with word-level bitset
-// operations: per channel, the senders are packed into a bitset, and
-// the neighborhood OR is produced either by *scattering* each sender's
-// CSR row into a heard bitset (cost Σ_{senders} deg, the win whenever
-// few vertices beep — the steady state of a stabilized MIS) or, when
-// the estimated scatter cost exceeds the early-exit gather bound (see
+// deliverStriped computes heard[v] for every vertex with word-level
+// bitset operations from the packed sender bitsets: the neighborhood OR
+// is produced either by *scattering* each sender's CSR row into the
+// heard bitsets (cost Σ_{senders} deg, the win whenever few vertices
+// beep — the steady state of a stabilized MIS) or, when the estimated
+// scatter cost exceeds the early-exit gather bound (see
 // GatherCrossoverFactor), by the reference per-vertex scan. Both
-// produce the exact OR, so the choice is invisible to traces.
-func (n *Network) deliverFlat() {
-	N := n.N()
-	if N == 0 {
+// produce the exact OR, so the choice is invisible to traces. The
+// caller has sized the bitsets (sizeDeliveryBits).
+func (n *Network) deliverStriped(senders int) {
+	if deliveryWantsGather(senders, n.avgDegree(), n.N()) {
+		n.runStripes(phaseGather)
 		return
 	}
-	senders := 0
-	for c := 0; c < n.channels; c++ {
-		n.sizeSendBits(c)
-		senders += n.packSendersRange(c, 0, N)
-	}
-	if deliveryWantsGather(senders, n.avgDegree(), N) {
-		n.deliverRange(0, N, n.rowBuf)
-		return
-	}
-	for c := 0; c < n.channels; c++ {
-		n.scatterChannel(c)
-	}
-	n.composeHeard()
+	n.runStripes(phaseScatter)
+	n.runStripes(phaseMerge)
 }
 
-// sizeSendBits makes the channel-c sender bitset match the current
-// vertex count. Sizing is separated from packing so the parallel engine
-// can resize once, sequentially, before the pack phase fans out.
-func (n *Network) sizeSendBits(c int) {
-	if sb := &n.sendBits[c]; sb.Len() != n.N() {
-		sb.Resize(n.N())
+// sizeDeliveryBits makes the per-channel sender and heard bitsets match
+// the current vertex count, before a phase fans out over the stripes.
+func (n *Network) sizeDeliveryBits() {
+	for c := 0; c < n.channels; c++ {
+		if sb := &n.sendBits[c]; sb.Len() != n.N() {
+			sb.Resize(n.N())
+		}
+		if hb := &n.heardBits[c]; hb.Len() != n.N() {
+			hb.Resize(n.N())
+		}
 	}
 }
 
 // packSendersRange builds the channel-c sender bits for the vertex
 // range [lo, hi) and returns the number of senders in the range. lo
 // must be 64-aligned and hi either 64-aligned or N, so distinct ranges
-// own disjoint words of the bitset — the property that lets the
-// parallel engine pack stripes concurrently with no atomics.
+// own disjoint words of the bitset — the property that lets stripes
+// pack concurrently with no atomics.
 func (n *Network) packSendersRange(c, lo, hi int) int {
 	mask := Signal(1) << uint(c)
 	words := n.sendBits[c].Words()
@@ -366,25 +531,40 @@ func (n *Network) packSendersRange(c, lo, hi int) int {
 	return count
 }
 
-// scatterChannel ORs each channel-c sender's CSR neighborhood into the
-// channel's heard bitset.
-func (n *Network) scatterChannel(c int) {
-	N := n.N()
-	hb := &n.heardBits[c]
-	if hb.Len() != N {
-		hb.Resize(N)
-	} else {
-		hb.Reset()
+// scatterStripe ORs the CSR rows of the senders found in the stripe's
+// words into its scratch heard masks. A stripe without senders leaves
+// its scratch untouched (and unallocated on the first rounds) and stays
+// inactive, so the merge skips it.
+func (n *Network) scatterStripe(st *stripe) {
+	wlo, whi := st.lo>>6, (st.hi+63)>>6
+	var occupied uint64
+	for c := 0; c < n.channels; c++ {
+		for _, w := range n.sendBits[c].Words()[wlo:whi] {
+			occupied |= w
+		}
 	}
-	n.scatterWordsInto(c, hb.Words(), 0, len(n.sendBits[c].Words()), n.rowBuf)
+	if occupied == 0 {
+		return
+	}
+	N := n.N()
+	for c := 0; c < n.channels; c++ {
+		sc := &st.scratch[c]
+		if sc.Len() != N {
+			sc.Resize(N)
+		} else {
+			sc.Reset()
+		}
+		n.scatterWordsInto(c, sc.Words(), wlo, whi, st.row)
+	}
+	st.active = true
 }
 
 // scatterWordsInto ORs the neighbor rows of the channel-c senders found
 // in sender-bitset words [wlo, whi) into hw, a full-length heard word
 // array. The *reads* are word-range-partitioned; the *writes* land
-// anywhere in hw (a sender's neighbors are arbitrary), which is why the
-// parallel engine hands each worker a private hw and merges afterwards.
-// buf is the neighbor scratch for synthesizing backends, ignored on the
+// anywhere in hw (a sender's neighbors are arbitrary), which is why
+// stripes scatter into private masks when there are several. buf is
+// the neighbor scratch for synthesizing backends, ignored on the
 // materialized fast path.
 func (n *Network) scatterWordsInto(c int, hw []uint64, wlo, whi int, buf []int32) {
 	sw := n.sendBits[c].Words()
@@ -408,16 +588,34 @@ func (n *Network) scatterWordsInto(c int, hw []uint64, wlo, whi int, buf []int32
 	}
 }
 
-// composeHeard expands the per-channel heard bitsets into the heard
-// signal array.
-func (n *Network) composeHeard() {
-	n.composeHeardRange(0, n.N())
+// mergeStripe finalizes the words of the heard bitsets the stripe owns
+// — each the OR of that word of every active stripe's scratch — and
+// composes the heard signals of its vertices. Every heard word is
+// written by exactly one stripe, so the merge needs no atomics; reads
+// of other stripes' scratch are ordered by the scatter barrier. With
+// one stripe the scratch is the heard bitset itself, and the merge only
+// zeroes it when the stripe had no senders.
+func (n *Network) mergeStripe(st *stripe) {
+	wlo, whi := st.lo>>6, (st.hi+63)>>6
+	for c := 0; c < n.channels; c++ {
+		out := n.heardBits[c].Words()
+		for wi := wlo; wi < whi; wi++ {
+			var acc uint64
+			for j := range n.stripes {
+				if o := &n.stripes[j]; o.active {
+					acc |= o.scratch[c].Words()[wi]
+				}
+			}
+			out[wi] = acc
+		}
+	}
+	n.composeHeardRange(st.lo, st.hi)
 }
 
 // composeHeardRange expands vertices [lo, hi) of the per-channel heard
 // bitsets into the heard signal array, clearing 64 vertices at a time
 // in the silent common case. lo must be 64-aligned (hi either
-// 64-aligned or N) so parallel stripes touch disjoint words.
+// 64-aligned or N) so stripes touch disjoint words.
 func (n *Network) composeHeardRange(lo, hi int) {
 	h1 := n.heardBits[0].Words()
 	var h2 []uint64
@@ -453,7 +651,9 @@ func (n *Network) composeHeardRange(lo, hi int) {
 // FlatReiniter), every random stream is re-derived from the new seed,
 // and the round counter, failure poison and child-stream allocator are
 // cleared. Installed adversary policies and the noise/sleep parameters
-// are construction-time configuration and are kept.
+// are construction-time configuration and are kept. Stripe state is
+// per-round (prepareStripes resets it), so nothing of the previous
+// execution reaches round 1.
 //
 // Reseed is the amortization primitive of replication sweeps
 // (exp.RunReplicated): one network per worker, re-seeded per trial,
@@ -488,25 +688,8 @@ func (n *Network) Reseed(seed uint64) error {
 	// sent was just cleared: force the sparse path to restart all-active
 	// and rebuild its delivery invariants densely. Every vertex state
 	// and stream was rewritten, so the dirty baseline is void too.
-	n.sparse.markAll()
-	n.ckDirty.markAll()
+	n.markAll()
 	n.ckDirty.adv = true
-	n.probe.markAll()
 	n.advEpoch++ // new execution: legality observers must re-key
-	if n.workers != nil {
-		// Flat-parallel stripe state is per-round (reset by every
-		// stepFlatParallel), but a reseed starts a NEW execution on the
-		// same pool: clear the pack counters, activity flags and
-		// environments eagerly so nothing from the previous trial can
-		// leak into round 1 — the property the replication pools
-		// (exp.RunReplicated) and the post-Rewire regression test
-		// (TestFlatParallelRewireReseedBitExact) rely on.
-		for i := range n.workers.flat {
-			w := &n.workers.flat[i]
-			w.env = FlatEnv{}
-			w.senders = 0
-			w.active = false
-		}
-	}
 	return nil
 }

@@ -15,7 +15,8 @@ import (
 // Network is one executable instance of a protocol on a graph: the
 // machines, their private random streams, and double-buffered signal
 // arrays. A Network is not safe for concurrent use by multiple callers;
-// the FlatParallel engine synchronizes its workers internally.
+// a flat round over several stripes synchronizes its pool workers
+// internally.
 type Network struct {
 	g graph.Topology
 	// csr is the materialized fast path: non-nil iff g is a
@@ -23,9 +24,9 @@ type Network struct {
 	// Synthesizing backends (implicit, compact) leave it nil and the
 	// delivery paths decode rows into scratch buffers instead.
 	csr *graph.Graph
-	// rowBuf is the sequential-path neighbor scratch for synthesizing
-	// backends (len = g.MaxDegree()); nil when csr is set. The worker
-	// pool carries per-shard scratch instead (workerPool.rowBuf).
+	// rowBuf is the calling goroutine's neighbor scratch for
+	// synthesizing backends (len = g.MaxDegree()); nil when csr is set.
+	// A single stripe shares it; several stripes carry their own.
 	rowBuf   []int32
 	proto    Protocol
 	machines []Machine
@@ -72,12 +73,12 @@ type Network struct {
 
 	// Flat-engine state (see flat.go): flatOps is the bound kernel
 	// handle (nil when the protocol has none or WithFlatKernels(false)
-	// was given), and the bitsets are the reusable buffers of the
-	// delivery kernel. The FlatParallel workers read flatOps too; it
-	// only changes between rounds (Rewire), ordered by the pool's phase
-	// barrier.
+	// was given), the bitsets are the reusable buffers of the delivery
+	// kernel, and stripes are the vertex ranges a flat round runs its
+	// phases over. Pool workers read flatOps too; it only changes
+	// between rounds (Rewire), ordered by the pool's phase barrier.
 	flatOps   FlatProtocol
-	flatEnv   FlatEnv
+	stripes   []stripe
 	noFlat    bool
 	flatSkip  bitset.Set
 	sendBits  [2]bitset.Set
@@ -121,6 +122,8 @@ type Network struct {
 	// valid round boundary and every later TryStep returns this error.
 	failed *RunError
 
+	// workers runs the round phases when there is more than one stripe
+	// (nil otherwise).
 	workers *workerPool
 	// reqWorkers is the WithWorkers override for FlatParallel (0 =
 	// GOMAXPROCS; validated non-negative at construction).
@@ -143,13 +146,15 @@ func WithObserver(fn func(round int, sent, heard []Signal)) Option {
 	return func(n *Network) { n.observer = fn }
 }
 
-// WithWorkers sets the worker-goroutine count of the FlatParallel
-// engine; 0, the default, means GOMAXPROCS. The count is capped at the
-// vertex count. Negative values are a construction error. Sequential
-// and Flat run no pool and ignore the option. Because every engine is
-// trace-equivalent by construction, the worker count never changes
-// results — only wall-clock time (see BENCH_parflat.json for the
-// scaling table).
+// WithWorkers sets the stripe count of the FlatParallel engine — one
+// pool worker per stripe; 0, the default, means GOMAXPROCS. Stripes
+// are padded to 64 vertices, so a small network may get fewer than
+// requested, and a network with one stripe runs its rounds inline with
+// no pool, exactly like Flat. Negative values are a construction error.
+// Sequential and Flat always run one stripe and ignore the option.
+// Because every engine is trace-equivalent by construction, the stripe
+// count never changes results — only wall-clock time (see
+// BENCH_parflat.json).
 func WithWorkers(k int) Option {
 	return func(n *Network) { n.reqWorkers = k }
 }
@@ -234,14 +239,13 @@ func NewNetwork(g graph.Topology, proto Protocol, seed uint64, opts ...Option) (
 	if err := net.finishFlatSetup(proto); err != nil {
 		return nil, err
 	}
-	if net.engine == FlatParallel {
-		net.workers = newWorkerPool(net, net.poolSize())
-	}
+	net.buildStripes()
 	return net, nil
 }
 
-// poolSize returns the number of FlatParallel worker goroutines: the
-// WithWorkers override when given, one per available CPU otherwise.
+// poolSize returns the FlatParallel stripe count before 64-vertex
+// padding: the WithWorkers override when given, one per available CPU
+// otherwise.
 func (n *Network) poolSize() int {
 	if n.reqWorkers > 0 {
 		w := n.reqWorkers
@@ -279,10 +283,28 @@ func (n *Network) Round() int { return n.round }
 // conservatively marked active for the sparse path (bulk read paths —
 // core.LevelExporter — bypass this accessor and stay mark-free).
 func (n *Network) Machine(v int) Machine {
+	n.markVertex(v)
+	return n.machines[v]
+}
+
+// markVertex records an external mutation of vertex v for every
+// consumer of the engine's per-word masks: the sparse frontier, the
+// incremental-checkpoint dirty set and the legality probe's changed
+// words. Every mutation site goes through it (or markAll), so none can
+// forget a consumer.
+func (n *Network) markVertex(v int) {
 	n.sparse.markVertex(v)
 	n.ckDirty.markVertex(v)
 	n.probe.markVertex(v)
-	return n.machines[v]
+}
+
+// markAll is markVertex for every vertex: the sparse path restarts from
+// an all-active frontier with dense delivery, and the dirty set and the
+// probe saturate.
+func (n *Network) markAll() {
+	n.sparse.markAll()
+	n.ckDirty.markAll()
+	n.probe.markAll()
 }
 
 // BulkState returns the opaque bulk-state handle provided by a
@@ -298,9 +320,7 @@ func (n *Network) N() int { return len(n.machines) }
 // vertices' own streams: the "arbitrary initial configuration" of the
 // self-stabilization model.
 func (n *Network) RandomizeAll() {
-	n.sparse.markAll()
-	n.ckDirty.markAll()
-	n.probe.markAll()
+	n.markAll()
 	for v, m := range n.machines {
 		m.Randomize(n.srcs[v])
 	}
@@ -317,9 +337,7 @@ func (n *Network) Corrupt(vertices []int) error {
 		}
 	}
 	for _, v := range vertices {
-		n.sparse.markVertex(v)
-		n.ckDirty.markVertex(v)
-		n.probe.markVertex(v)
+		n.markVertex(v)
 		n.machines[v].Randomize(n.srcs[v])
 	}
 	return nil
@@ -327,7 +345,7 @@ func (n *Network) Corrupt(vertices []int) error {
 
 // Step executes one synchronous round on the configured engine. It
 // panics if the network has been closed: Close is terminal (it tears
-// down the FlatParallel worker goroutines), and silently
+// down the stripe pool's worker goroutines), and silently
 // resurrecting a pool after Close hid lifecycle bugs in callers. If a
 // machine panics inside the round, Step re-panics with the typed
 // *RunError that TryStep would have returned — the barrier and the
@@ -346,7 +364,7 @@ func (n *Network) Step() {
 // panics into a typed *RunError instead of unwinding: the supervised
 // execution path of stab.Supervisor. It returns ErrClosed on a closed
 // network and the original *RunError on every call after a contained
-// panic (the network is poisoned: the failing phase stopped mid-shard,
+// panic (the network is poisoned: the failing phase stopped mid-stripe,
 // so the state is not a valid round boundary).
 func (n *Network) TryStep() error {
 	if n.closed {
@@ -359,22 +377,20 @@ func (n *Network) TryStep() error {
 	// overwrite these with the round's real frontier.
 	n.roundActive, n.roundFrontier = n.N(), (n.N()+63)>>6
 	n.ckRoundSparse = false
-	// Every kernel-capable round runs the activity-gated sparse path
-	// (which itself falls back to dense delivery, or to the dense
-	// kernels on fault-model rounds; see sparse.go). The flat kernels
-	// are the sequential semantics without per-vertex dispatch, so
-	// Sequential upgrades transparently whenever the protocol provides
-	// them. FlatParallel requires the kernels at construction, but a
-	// Rewire can drop the bulk handle (non-codec machine cohorts); the
-	// reference loop is trace-equivalent, so it falls back to it.
+	// Every kernel-capable round runs the striped flat round, whose
+	// activity-gated body falls back to dense delivery, or to the dense
+	// kernels on fault-model rounds (see flat.go, sparse.go). The flat
+	// kernels are the sequential semantics without per-vertex dispatch,
+	// so Sequential upgrades transparently whenever the protocol
+	// provides them. Flat and FlatParallel require the kernels at
+	// construction, but a Rewire can drop the bulk handle (non-codec
+	// machine cohorts); the reference loop is trace-equivalent, so they
+	// fall back to it.
 	var rerr *RunError
-	switch {
-	case n.flatOps == nil:
+	if n.flatOps == nil {
 		rerr = n.stepSequential()
-	case n.engine == FlatParallel:
-		rerr = n.stepFlatParallelSparse()
-	default:
-		rerr = n.stepFlatSparse()
+	} else {
+		rerr = n.stepStriped()
 	}
 	if rerr != nil {
 		n.failed = rerr
@@ -382,12 +398,12 @@ func (n *Network) TryStep() error {
 	}
 	if !n.ckRoundSparse {
 		// The round ran a path whose effects the activity masks do not
-		// describe (dense kernels, fault-model fallback): conservatively
-		// dirty everything for the incremental-checkpoint baseline and the
-		// legality probe. The sparse paths accumulate their exact
-		// end-of-round unions instead.
-		n.ckDirty.markAll()
-		n.probe.markAll()
+		// describe (reference loop, fault-model dense round): restart
+		// the sparse frontier and conservatively dirty everything for
+		// the incremental-checkpoint baseline and the legality probe.
+		// The sparse body accumulates its exact end-of-round unions
+		// instead.
+		n.markAll()
 	}
 	n.round++
 	if n.statsObs != nil {
@@ -519,10 +535,10 @@ func (n *Network) deliverRange(lo, hi int, buf []int32) {
 	}
 }
 
-// Close releases the FlatParallel worker goroutines and makes the
+// Close releases the stripe pool's worker goroutines and makes the
 // network terminal: any subsequent Step panics. It is safe to call
-// multiple times (later calls are no-ops); for the single-goroutine
-// engines it only marks the network closed.
+// multiple times (later calls are no-ops); a network without a pool
+// (one stripe, or the reference loop) is only marked closed.
 func (n *Network) Close() {
 	if n.workers != nil {
 		n.workers.close()
@@ -534,18 +550,16 @@ func (n *Network) Close() {
 // Closed reports whether Close has been called.
 func (n *Network) Closed() bool { return n.closed }
 
-// workerPool runs the phases of a FlatParallel round over 64-aligned
-// vertex stripes with persistent goroutines and a generation-based
-// (sense-reversing) barrier between phases: the coordinator publishes
-// each phase by bumping a generation counter and broadcasting once, and
-// each worker joins the barrier with a single atomic decrement — the
-// last one signals completion. That is one wakeup plus one atomic join
-// per worker per phase. Because every vertex consumes only its own
-// random stream and phases are barrier-separated, the striped rounds
-// produce the same trace as the single-goroutine engines.
+// workerPool runs the phases of a flat round over the network's
+// stripes (see flat.go), one persistent goroutine per stripe, with a
+// generation-based (sense-reversing) barrier between phases: the
+// coordinator publishes each phase by bumping a generation counter and
+// broadcasting once, and each worker joins the barrier with a single
+// atomic decrement — the last one signals completion. That is one
+// wakeup plus one atomic join per worker per phase. A network with one
+// stripe has no pool: runStripes calls the phase inline.
 type workerPool struct {
-	net    *Network
-	shards [][2]int
+	net *Network
 
 	mu    sync.Mutex
 	cond  *sync.Cond
@@ -556,83 +570,24 @@ type workerPool struct {
 	done    chan struct{} // signaled by the last worker to join
 
 	// failed records the first contained machine panic of the current
-	// phase. Workers recover before joining the barrier, so a panicking
-	// vertex never orphans the barrier; the coordinator collects the
-	// error after the phase completes on every shard.
+	// phase. Kernels recover before the worker joins the barrier, so a
+	// panicking vertex never orphans the barrier; the coordinator
+	// collects the error after the phase completes on every stripe.
 	failed atomic.Pointer[RunError]
-
-	// flat holds the per-worker state (one entry per shard): the
-	// worker's private FlatEnv, its scatter scratch masks and its pack
-	// count. See flatparallel.go.
-	flat []flatWorker
-
-	// bufs are the per-shard neighbor scratch rows for synthesizing
-	// backends, allocated lazily on first use (nil entries on the
-	// materialized fast path, which never consults them). Each worker
-	// touches only its own index, so no synchronization is needed.
-	bufs [][]int32
 }
 
-// rowBuf returns shard i's neighbor scratch, or nil on the materialized
-// fast path.
-func (p *workerPool) rowBuf(i int) []int32 {
-	if p.net.csr != nil {
-		return nil
-	}
-	if p.bufs[i] == nil {
-		p.bufs[i] = make([]int32, p.net.g.MaxDegree())
-	}
-	return p.bufs[i]
-}
-
-const (
-	phaseExit = iota
-	// Flat-parallel phases (see flatparallel.go): cohort-kernel stripes
-	// for emit/update, word-range sender packing, per-worker scatter,
-	// word-range-ownership merge + compose, and the dense gather
-	// fallback.
-	phaseFlatEmit
-	phaseFlatPack
-	phaseFlatScatter
-	phaseFlatMerge
-	phaseFlatGather
-	phaseFlatUpdate
-	// Sparse-path phases (see sparse.go): activity-gated kernel
-	// stripes writing per-worker drew/changed word masks.
-	phaseFlatSparseEmit
-	phaseFlatSparseUpdate
-)
-
-func newWorkerPool(net *Network, workers int) *workerPool {
+func newWorkerPool(net *Network) *workerPool {
 	p := &workerPool{net: net, done: make(chan struct{})}
 	p.cond = sync.NewCond(&p.mu)
-	n := net.N()
-	// Pad shard boundaries to 64-vertex multiples: the pack and merge
-	// phases own whole 64-bit words of the sender/heard bitsets per
-	// stripe, and adjacent stripes never write the same cache line of
-	// the sent/heard arrays (64 signals = 64 bytes).
-	per := ((n+workers-1)/workers + 63) &^ 63
-	for lo := 0; lo < n; lo += per {
-		hi := lo + per
-		if hi > n {
-			hi = n
-		}
-		p.shards = append(p.shards, [2]int{lo, hi})
-	}
-	p.flat = make([]flatWorker, len(p.shards))
-	p.bufs = make([][]int32, len(p.shards))
-	for i := range p.shards {
-		go p.worker(i)
+	for i := range net.stripes {
+		go p.worker(&net.stripes[i])
 	}
 	return p
 }
 
 // worker waits (blocking, not spinning) for each new generation,
-// executes its shard's slice of the published phase, and joins the
-// barrier.
-func (p *workerPool) worker(i int) {
-	lo, hi := p.shards[i][0], p.shards[i][1]
-	net := p.net
+// executes the published phase on its stripe, and joins the barrier.
+func (p *workerPool) worker(st *stripe) {
 	var seen uint64
 	for {
 		p.mu.Lock()
@@ -643,33 +598,9 @@ func (p *workerPool) worker(i int) {
 		phase := p.phase
 		p.mu.Unlock()
 
-		switch phase {
-		case phaseFlatEmit:
-			if err := net.flatKernelRange("emit", &p.flat[i], lo, hi); err != nil {
-				p.failed.CompareAndSwap(nil, err)
-			}
-		case phaseFlatPack:
-			net.flatPackRange(&p.flat[i], lo, hi)
-		case phaseFlatScatter:
-			net.flatScatterRange(&p.flat[i], lo, hi)
-		case phaseFlatMerge:
-			net.flatMergeRange(p, lo, hi)
-		case phaseFlatGather:
-			net.deliverRange(lo, hi, p.rowBuf(i))
-		case phaseFlatUpdate:
-			if err := net.flatKernelRange("update", &p.flat[i], lo, hi); err != nil {
-				p.failed.CompareAndSwap(nil, err)
-			}
-		case phaseFlatSparseEmit:
-			if err := net.flatSparseKernelRange("emit", &p.flat[i], lo, hi); err != nil {
-				p.failed.CompareAndSwap(nil, err)
-			}
-		case phaseFlatSparseUpdate:
-			if err := net.flatSparseKernelRange("update", &p.flat[i], lo, hi); err != nil {
-				p.failed.CompareAndSwap(nil, err)
-			}
+		if err := p.net.stripePhase(int(phase), st); err != nil {
+			p.failed.CompareAndSwap(nil, err)
 		}
-
 		if p.pending.Add(-1) == 0 {
 			p.done <- struct{}{}
 		}
@@ -682,12 +613,9 @@ func (p *workerPool) worker(i int) {
 // runPhase publishes one phase to all workers (one broadcast) and waits
 // for the barrier. The atomic join chain plus the done send establish
 // the happens-before edge from every worker's writes back to the
-// coordinator, so the next phase observes all shard results.
+// coordinator, so the next phase observes all stripe results.
 func (p *workerPool) runPhase(phase int) {
-	if len(p.shards) == 0 {
-		return
-	}
-	p.pending.Store(int32(len(p.shards)))
+	p.pending.Store(int32(len(p.net.stripes)))
 	p.mu.Lock()
 	p.phase = int32(phase)
 	p.gen++

@@ -13,7 +13,7 @@ import (
 // cheap, the rounds are the cost), then steps only its own range; the
 // per-vertex private streams guarantee that the union of the ranges
 // reproduces the single-process execution bit for bit, exactly the
-// determinism argument of the FlatParallel engine (see flat.go). The
+// determinism argument of the flat engine's stripes (see flat.go). The
 // round protocol is the delta exchange of partition_sparse.go.
 //
 // Ranges need not be 64-aligned: each partition packs only its own

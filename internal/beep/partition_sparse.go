@@ -3,7 +3,6 @@ package beep
 import (
 	"fmt"
 	"math/bits"
-	"runtime/debug"
 )
 
 // This file implements the round protocol of Partition, the
@@ -164,7 +163,7 @@ func (p *Partition) EmitLocalSparse() (drew bool, err error) {
 	if sp.actCount == 0 {
 		return false, nil
 	}
-	if rerr := p.runSparseKernel("emit"); rerr != nil {
+	if rerr := n.rangeKernel("emit", env, sp.act, sp.drewW, p.lo, p.hi); rerr != nil {
 		n.failed = rerr
 		return false, rerr
 	}
@@ -279,12 +278,12 @@ func (p *Partition) UpdateLocalSparse() (changed bool, err error) {
 	if sp == nil {
 		return false, fmt.Errorf("beep: UpdateLocalSparse before EnableSparse")
 	}
-	p.gatherHeardWords(sp.touchW)
+	n.gatherWords(sp.touchW, p.words, p.lo, p.hi, p.rowBuf)
 	for mi := range sp.updW {
 		sp.updW[mi] = sp.act[mi] | sp.touchW[mi]
 	}
 	clearMask(sp.changedW)
-	if rerr := p.runSparseKernel("update"); rerr != nil {
+	if rerr := n.rangeKernel("update", &p.env, sp.updW, sp.changedW, p.lo, p.hi); rerr != nil {
 		n.failed = rerr
 		return false, rerr
 	}
@@ -325,75 +324,4 @@ func (p *Partition) FrontierWords() int {
 		return p.sparse.ownWords
 	}
 	return p.sparse.actCount
-}
-
-// gatherHeardWords recomputes heard[v] for every own vertex of every
-// marked slab word by probing neighbor bits in the merged sender words,
-// with the same full-mask early exit as Network.deliverRange.
-func (p *Partition) gatherHeardWords(mask []uint64) {
-	n := p.net
-	full := n.fullMask
-	heard := n.heard
-	w0 := p.words[0]
-	var w1 []uint64
-	if n.channels == 2 {
-		w1 = p.words[1]
-	}
-	for mi, m := range mask {
-		for m != 0 {
-			b := bits.TrailingZeros64(m)
-			m &= m - 1
-			base := (mi<<6 + b) << 6
-			lo, hi := base, base+64
-			if lo < p.lo {
-				lo = p.lo
-			}
-			if hi > p.hi {
-				hi = p.hi
-			}
-			for v := lo; v < hi; v++ {
-				var row []int32
-				if n.csr != nil {
-					row = n.csr.Neighbors(v)
-				} else {
-					row = n.g.NeighborsInto(v, p.rowBuf)
-				}
-				var h Signal
-				for _, u := range row {
-					sh := uint(u) & 63
-					h |= Signal((w0[u>>6] >> sh) & 1)
-					if w1 != nil {
-						h |= Signal((w1[u>>6]>>sh)&1) << 1
-					}
-					if h == full {
-						break
-					}
-				}
-				heard[v] = h
-			}
-		}
-	}
-}
-
-// runSparseKernel invokes one sparse cohort kernel over the partition's
-// range with the same panic containment contract as the engines. The
-// kernels process the range as a whole, so the error cannot name the
-// vertex.
-func (p *Partition) runSparseKernel(phase string) (rerr *RunError) {
-	n := p.net
-	sp := p.sparse
-	defer func() {
-		if r := recover(); r != nil {
-			rerr = &RunError{
-				Vertex: -1, Round: n.round + 1, Phase: phase,
-				Engine: n.engine, Recovered: r, Stack: debug.Stack(),
-			}
-		}
-	}()
-	if phase == "emit" {
-		n.flatOps.EmitSparse(&p.env, sp.act, sp.drewW, p.lo, p.hi)
-	} else {
-		n.flatOps.UpdateSparse(&p.env, sp.updW, sp.changedW, p.lo, p.hi)
-	}
-	return nil
 }

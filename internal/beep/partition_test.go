@@ -59,9 +59,6 @@ func (decayProtocol) NewMachines(g graph.Topology) ([]Machine, any) {
 // decayOps is decayProtocol's flat kernel handle over the machine slab.
 type decayOps []decayMachine
 
-func (o decayOps) EmitAll(env *FlatEnv)   { o.EmitRange(env, 0, len(o)) }
-func (o decayOps) UpdateAll(env *FlatEnv) { o.UpdateRange(env, 0, len(o)) }
-
 func (o decayOps) EmitRange(env *FlatEnv, lo, hi int) {
 	for v := lo; v < hi; v++ {
 		if env.Skipped(v) {
@@ -292,7 +289,7 @@ func TestPartitionValidation(t *testing.T) {
 // network for every later call, like the engines.
 func TestPartitionPanicContainment(t *testing.T) {
 	g := graph.Cycle(64)
-	net, err := NewNetwork(g, flatPanicProtocol{round: 0, phase: "emit"}, 1, WithEngine(Flat))
+	net, err := NewNetwork(g, flatPanicProtocol{round: 1, phase: "emit"}, 1, WithEngine(Flat))
 	if err != nil {
 		t.Fatal(err)
 	}

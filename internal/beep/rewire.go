@@ -33,9 +33,10 @@ import (
 //     existing ones (they advance the network's child-stream counter).
 //   - Adversary policies follow the surviving vertices through the
 //     mapping; joiners are always cooperating.
-//   - All three engines are supported: the worker pool is rebuilt for
-//     the new vertex count, and because Rewire itself runs sequentially
-//     between rounds, executions remain engine-independent.
+//   - All three engines are supported: the stripes (and the worker
+//     pool, if any) are rebuilt for the new vertex count, and because
+//     Rewire itself runs sequentially between rounds, executions remain
+//     engine-independent.
 //
 // The operation is atomic: every validation failure leaves the network
 // untouched. The round counter continues across the rewire.
@@ -145,18 +146,10 @@ func (n *Network) Rewire(g2 *graph.Graph, mapping []int) error {
 		n.advEpoch++ // topology changed: observers re-key their masks
 	}
 	n.bindFlatOps() // the slab was rebuilt (or dropped): re-derive the kernels
-	if n.workers != nil {
-		n.workers.close()
-		n.workers = nil
-	}
-	if n.engine == FlatParallel {
-		// The pool is rebuilt for the new vertex count, together with
-		// the per-worker stripe state (scatter masks, pack counters,
-		// kernel environments): stripe boundaries are a function of N,
-		// so stale stripes from the pre-churn topology must never
-		// survive a Rewire (regression-tested by
-		// TestFlatParallelRewireReseedBitExact).
-		n.workers = newWorkerPool(n, n.poolSize())
-	}
+	// Stripe boundaries are a function of N, so the stripes (and the
+	// pool, if any) are rebuilt: stale stripe state from the pre-churn
+	// topology must never survive a Rewire (regression-tested by
+	// TestFlatParallelRewireReseedBitExact).
+	n.buildStripes()
 	return nil
 }

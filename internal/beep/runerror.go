@@ -8,21 +8,21 @@ import (
 // RunError is the typed, contained form of a machine panic: when a
 // vertex's Emit or Update panics inside an engine, the engine recovers,
 // records which vertex blew up in which phase of which round, and
-// surfaces this error instead of tearing down the process. The worker
-// goroutines of the concurrent engines recover *before* joining the
+// surfaces this error instead of tearing down the process. The pool
+// workers of a striped flat round recover *before* joining the
 // sense-reversing barrier, so a panicking vertex can never orphan the
-// barrier or deadlock its sibling shards — the coordinator observes the
-// error after the phase completes on every shard.
+// barrier or deadlock its sibling stripes — the coordinator observes
+// the error after the phase completes on every stripe.
 //
 // A network that produced a RunError is poisoned: its state is
-// partially updated (the panicking phase stopped mid-shard), so every
+// partially updated (the panicking phase stopped mid-stripe), so every
 // subsequent TryStep returns the same error and Step panics with it.
 // Close remains safe. Other networks in the process — including ones
 // sharing the protocol value — are unaffected.
 type RunError struct {
 	// Vertex is the vertex whose machine panicked, or -1 when the panic
-	// escaped a whole-cohort flat kernel, which processes the cohort as
-	// one slab and cannot attribute the failure to a single vertex.
+	// escaped a flat range kernel, which processes its range as one
+	// slab and cannot attribute the failure to a single vertex.
 	Vertex int
 	// Round is the 1-based round that was being executed.
 	Round int

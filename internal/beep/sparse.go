@@ -1,9 +1,6 @@
 package beep
 
-import (
-	"math/bits"
-	"runtime/debug"
-)
+import "math/bits"
 
 // This file implements the sparse activity-gated round path of the flat
 // engines. After the transient phase of a self-stabilizing execution,
@@ -116,10 +113,10 @@ type sparseState struct {
 	// word count), giving O(1) empty-frontier detection.
 	act      []uint64
 	actCount int
-	// drewW / changedW are the kernels' per-word output masks; updW
-	// gates the update kernel (act ∪ touched); touchW marks the words
-	// whose heard values delta delivery recomputed this round.
-	drewW, changedW, updW, touchW []uint64
+	// updW gates the update kernel (act ∪ touched); touchW marks the
+	// words whose heard values delta delivery recomputed this round.
+	// The kernels' drew/changed output masks are per stripe (flat.go).
+	updW, touchW []uint64
 	// allActive defers materializing a full act mask (initial state,
 	// and after any markAll); forceDense additionally forces the next
 	// sparse round to deliver densely and recount senders absolutely,
@@ -175,14 +172,12 @@ func (s *sparseState) ensure(n *Network) {
 	words := (N + 63) >> 6
 	mw := (words + 63) >> 6
 	s.act = make([]uint64, mw)
-	s.drewW = make([]uint64, mw)
-	s.changedW = make([]uint64, mw)
 	s.updW = make([]uint64, mw)
 	s.touchW = make([]uint64, mw)
 	s.flipWi = make([]int32, 0, words)
+	n.sizeDeliveryBits()
 	for c := 0; c < n.channels; c++ {
 		s.flipBits[c] = make([]uint64, 0, words)
-		n.sizeSendBits(c)
 		n.sendBits[c].Reset()
 	}
 	s.senders = [2]int{}
@@ -243,13 +238,17 @@ func (n *Network) sparseUseDense() bool {
 	return deltaWantsDense(touched, s.senders[0]+s.senders[1], n.avgDegree(), n.N())
 }
 
-// stepFlatSparse executes one activity-gated round on the sequential
-// flat engine. It is bit-identical to stepFlat for every round (pinned
-// by the forced-delta equivalence matrices).
-func (n *Network) stepFlatSparse() *RunError {
+// stepStriped executes one activity-gated round over the stripes (see
+// flat.go): the emit/update kernels run per stripe, each writing its
+// own drew/changed masks (OR-folded after the phase), while the
+// frontier-sized bookkeeping — repack, flip scatter, delta re-gather —
+// runs on the calling goroutine, where it is cheaper than more
+// barriers. It is bit-identical to the dense round for every round
+// (pinned by the forced-delta equivalence matrices). Fault-model rounds
+// take the dense body instead.
+func (n *Network) stepStriped() *RunError {
 	if n.sparseFaulty() {
-		n.sparse.markAll()
-		return n.stepFlat()
+		return n.stepStripedDense()
 	}
 	n.ckRoundSparse = true
 	N := n.N()
@@ -266,47 +265,31 @@ func (n *Network) stepFlatSparse() *RunError {
 		return nil
 	}
 	actEntry := s.actCount
-	env := &n.flatEnv
-	env.Sent, env.Heard, env.Srcs = n.sent, n.heard, n.srcs
-	env.Skip = nil
-	env.Drew, env.Changed = false, false
-	clearMask(s.drewW)
-	if err := n.runSparseKernel("emit", env); err != nil {
+	n.prepareStripes(nil, len(s.act))
+	if err := n.runStripes(phaseSparseEmit); err != nil {
 		return err
 	}
 	n.sparseRepack(recount)
-	forced := s.forceDense
 	if n.sparseUseDense() {
-		if deliveryWantsGather(s.senders[0]+s.senders[1], n.avgDegree(), N) {
-			n.deliverRange(0, N, n.rowBuf)
-		} else {
-			for c := 0; c < n.channels; c++ {
-				n.scatterChannel(c)
-			}
-			n.composeHeard()
-		}
-		if forced {
-			// After an invalidation the flip records don't bound which
-			// heard values the dense delivery rewrote; update everywhere
-			// (exactly the dense round's update set).
-			maskSetAll(s.updW, (N+63)>>6)
-		} else {
-			// Invariants intact: the rewrite changed heard only inside
-			// the touched words, so the delta path's update set is
-			// exact here too.
-			for mi := range s.updW {
-				s.updW[mi] = s.act[mi] | s.touchW[mi]
-			}
-		}
+		n.sizeDeliveryBits()
+		n.deliverStriped(s.senders[0] + s.senders[1])
 	} else {
-		n.sparseGatherWords(s.touchW)
+		n.gatherWords(s.touchW, [2][]uint64{n.sendBits[0].Words(), n.sendBits[1].Words()}, 0, N, n.rowBuf)
+	}
+	if s.forceDense {
+		// After an invalidation the flip records don't bound which
+		// heard values the dense delivery rewrote; update everywhere
+		// (exactly the dense round's update set).
+		maskSetAll(s.updW, (N+63)>>6)
+	} else {
+		// Invariants intact: delivery changed heard only inside the
+		// touched words, whichever path ran.
 		for mi := range s.updW {
 			s.updW[mi] = s.act[mi] | s.touchW[mi]
 		}
 	}
 	s.forceDense = false
-	clearMask(s.changedW)
-	if err := n.runSparseKernel("update", env); err != nil {
+	if err := n.runStripes(phaseSparseUpdate); err != nil {
 		return err
 	}
 	cnt := 0
@@ -314,14 +297,19 @@ func (n *Network) stepFlatSparse() *RunError {
 	probe := n.probe.accum(len(s.act))
 	var moved uint64
 	for mi := range s.act {
-		a := s.drewW[mi] | s.changedW[mi]
+		var a, c uint64
+		for i := range n.stripes {
+			a |= n.stripes[i].drewW[mi]
+			c |= n.stripes[i].changedW[mi]
+		}
+		a |= c
 		s.act[mi] = a
 		if dirty != nil {
 			dirty[mi] |= a
 		}
 		if probe != nil {
-			probe[mi] |= s.changedW[mi]
-			moved |= s.changedW[mi]
+			probe[mi] |= c
+			moved |= c
 		}
 		cnt += bits.OnesCount64(a)
 	}
@@ -334,26 +322,6 @@ func (n *Network) stepFlatSparse() *RunError {
 		n.roundActive = N
 	}
 	n.roundFrontier = actEntry
-	return nil
-}
-
-// runSparseKernel invokes one sparse cohort kernel with the same panic
-// containment contract as runFlatKernel.
-func (n *Network) runSparseKernel(phase string, env *FlatEnv) (rerr *RunError) {
-	defer func() {
-		if r := recover(); r != nil {
-			rerr = &RunError{
-				Vertex: -1, Round: n.round + 1, Phase: phase,
-				Engine: n.engine, Recovered: r, Stack: debug.Stack(),
-			}
-		}
-	}()
-	s := &n.sparse
-	if phase == "emit" {
-		n.flatOps.EmitSparse(env, s.act, s.drewW, 0, n.N())
-	} else {
-		n.flatOps.UpdateSparse(env, s.updW, s.changedW, 0, n.N())
-	}
 	return nil
 }
 
@@ -476,36 +444,34 @@ func (n *Network) sparseMarkTouched() int {
 	return touched
 }
 
-// sparseGatherWords recomputes heard[v] for every vertex of every slab
-// word marked in mask, by probing the neighbor bits of the per-channel
-// sender bitsets (with the same full-mask early exit as the dense
-// gather). The sender bitsets are exact after sparseRepack, so the
-// recomputed values equal the dense delivery's.
-func (n *Network) sparseGatherWords(mask []uint64) {
-	w0 := n.sendBits[0].Words()
-	var w1 []uint64
-	if n.channels == 2 {
-		w1 = n.sendBits[1].Words()
+// gatherWords recomputes heard[v] for every vertex of [lo, hi) in the
+// slab words marked in mask, by probing the neighbor bits of the
+// per-channel sender words (with the same full-mask early exit as
+// deliverRange). The network passes [0, N) and its own sender bitsets,
+// which are exact after sparseRepack, so the recomputed values equal
+// the dense delivery's; a Partition passes its range and the
+// coordinator-merged words. buf is the neighbor scratch for
+// synthesizing backends.
+func (n *Network) gatherWords(mask []uint64, words [2][]uint64, lo, hi int, buf []int32) {
+	w0, w1 := words[0], words[1]
+	if n.channels == 1 {
+		w1 = nil
 	}
 	full := n.fullMask
 	heard := n.heard
 	g := n.csr
-	N := n.N()
 	for mi, m := range mask {
 		for m != 0 {
 			b := bits.TrailingZeros64(m)
 			m &= m - 1
 			base := (mi<<6 + b) << 6
-			end := base + 64
-			if end > N {
-				end = N
-			}
-			for v := base; v < end; v++ {
+			vlo, vhi := max(base, lo), min(base+64, hi)
+			for v := vlo; v < vhi; v++ {
 				var row []int32
 				if g != nil {
 					row = g.Neighbors(v)
 				} else {
-					row = n.g.NeighborsInto(v, n.rowBuf)
+					row = n.g.NeighborsInto(v, buf)
 				}
 				var h Signal
 				for _, u := range row {
@@ -522,148 +488,4 @@ func (n *Network) sparseGatherWords(mask []uint64) {
 			}
 		}
 	}
-}
-
-// stepFlatParallelSparse executes one activity-gated round on the
-// sharded flat engine: the emit/update kernels fan out over the worker
-// stripes (each worker writing a private drew/changed mask, OR-folded
-// after the barrier), while the frontier-sized bookkeeping — repack,
-// flip scatter, delta re-gather — runs on the coordinator, where it is
-// cheaper than two more barriers. Dense-delivery rounds reuse the
-// dense engine's pack/scatter/merge/gather phases unchanged.
-func (n *Network) stepFlatParallelSparse() *RunError {
-	if n.sparseFaulty() {
-		n.sparse.markAll()
-		return n.stepFlatParallel()
-	}
-	n.ckRoundSparse = true
-	N := n.N()
-	s := &n.sparse
-	s.ensure(n)
-	recount := s.allActive
-	if s.allActive {
-		s.materializeAll()
-	}
-	if s.actCount == 0 {
-		n.roundActive, n.roundFrontier = 0, 0
-		return nil
-	}
-	actEntry := s.actCount
-	mw := len(s.act)
-	p := n.workers
-	for i := range p.flat {
-		w := &p.flat[i]
-		w.env.Sent, w.env.Heard, w.env.Srcs = n.sent, n.heard, n.srcs
-		w.env.Skip = nil
-		w.env.Drew, w.env.Changed = false, false
-		w.senders = 0
-		w.active = false
-		if len(w.drewW) != mw {
-			w.drewW = make([]uint64, mw)
-			w.changedW = make([]uint64, mw)
-		}
-	}
-	p.runPhase(phaseFlatSparseEmit)
-	if err := p.takeError(); err != nil {
-		return err
-	}
-	n.sparseRepack(recount)
-	forced := s.forceDense
-	if n.sparseUseDense() {
-		for c := 0; c < n.channels; c++ {
-			if hb := &n.heardBits[c]; hb.Len() != N {
-				hb.Resize(N)
-			}
-		}
-		// The pack phase rewrites the sender words the repack just
-		// wrote (same values) to recover the per-worker sender counts
-		// that drive the scatter skip and the gather crossover.
-		p.runPhase(phaseFlatPack)
-		senders := 0
-		for i := range p.flat {
-			senders += p.flat[i].senders
-		}
-		if deliveryWantsGather(senders, n.avgDegree(), N) {
-			p.runPhase(phaseFlatGather)
-		} else {
-			p.runPhase(phaseFlatScatter)
-			p.runPhase(phaseFlatMerge)
-		}
-		if forced {
-			// See stepFlatSparse: only invalidation rounds lose the
-			// touched-word bound on the dense delivery's rewrites.
-			maskSetAll(s.updW, (N+63)>>6)
-		} else {
-			for mi := range s.updW {
-				s.updW[mi] = s.act[mi] | s.touchW[mi]
-			}
-		}
-	} else {
-		n.sparseGatherWords(s.touchW)
-		for mi := range s.updW {
-			s.updW[mi] = s.act[mi] | s.touchW[mi]
-		}
-	}
-	s.forceDense = false
-	p.runPhase(phaseFlatSparseUpdate)
-	if err := p.takeError(); err != nil {
-		return err
-	}
-	cnt := 0
-	dirty := n.ckDirty.accum(len(s.act))
-	probe := n.probe.accum(len(s.act))
-	var moved uint64
-	for mi := range s.act {
-		var a, c uint64
-		for i := range p.flat {
-			a |= p.flat[i].drewW[mi]
-			c |= p.flat[i].changedW[mi]
-		}
-		a |= c
-		s.act[mi] = a
-		if dirty != nil {
-			dirty[mi] |= a
-		}
-		if probe != nil {
-			probe[mi] |= c
-			moved |= c
-		}
-		cnt += bits.OnesCount64(a)
-	}
-	if moved != 0 {
-		n.probe.curSet = true
-	}
-	s.actCount = cnt
-	n.roundActive = actEntry * 64
-	if n.roundActive > N {
-		n.roundActive = N
-	}
-	n.roundFrontier = actEntry
-	return nil
-}
-
-// flatSparseKernelRange invokes one sparse cohort-kernel stripe on the
-// worker's private environment and output mask, with the same panic
-// containment contract as flatKernelRange. The shared activity masks
-// are read-only during the phase; each worker's output bits land only
-// in its private mask (word-range ownership makes even the bit ranges
-// disjoint, but privacy makes that irrelevant).
-func (n *Network) flatSparseKernelRange(phase string, w *flatWorker, lo, hi int) (rerr *RunError) {
-	defer func() {
-		if r := recover(); r != nil {
-			rerr = &RunError{
-				Vertex: -1, Round: n.round + 1, Phase: phase,
-				Engine: n.engine, Recovered: r, Stack: debug.Stack(),
-			}
-		}
-	}()
-	s := &n.sparse
-	if phase == "emit" {
-		clearMask(w.drewW)
-		n.flatOps.EmitSparse(&w.env, s.act, w.drewW, lo, hi)
-	} else {
-		clearMask(w.changedW)
-		n.flatOps.UpdateSparse(&w.env, s.updW, w.changedW, lo, hi)
-	}
-	return nil
 }

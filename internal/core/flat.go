@@ -6,7 +6,7 @@ import (
 )
 
 // This file implements the dense flat-engine kernels
-// (beep.FlatProtocol's whole-cohort and range forms) and in-place
+// (beep.FlatProtocol's range forms) and in-place
 // re-initialization (beep.FlatReiniter) for the three machine slabs;
 // sparse.go adds the activity-gated forms. Each kernel is the loop body
 // of the corresponding Machine.Emit/Update inlined over the contiguous
@@ -93,10 +93,8 @@ func alg1EmitRange[M any](env *beep.FlatEnv, ms []M, lo, hi int, state func(*M) 
 	}
 }
 
-// EmitAll implements beep.FlatProtocol.
-func (s *alg1Slab) EmitAll(env *beep.FlatEnv) { s.EmitRange(env, 0, len(s.ms)) }
-
-// EmitRange implements beep.FlatProtocol ([lo, hi) stripe of EmitAll).
+// EmitRange is alg1Machine.Emit over the [lo, hi) stripe of the slab
+// (beep.FlatProtocol).
 func (s *alg1Slab) EmitRange(env *beep.FlatEnv, lo, hi int) {
 	alg1EmitRange(env, s.ms, lo, hi, func(m *alg1Machine) *alg1Machine { return m })
 }
@@ -124,10 +122,8 @@ func alg1Step(m *alg1Machine, sent, heard beep.Signal) bool {
 	return nl != lv
 }
 
-// UpdateAll is alg1Machine.Update over the slab.
-func (s *alg1Slab) UpdateAll(env *beep.FlatEnv) { s.UpdateRange(env, 0, len(s.ms)) }
-
-// UpdateRange is the [lo, hi) stripe of UpdateAll (beep.FlatProtocol).
+// UpdateRange is alg1Machine.Update over the [lo, hi) stripe of the
+// slab (beep.FlatProtocol).
 func (s *alg1Slab) UpdateRange(env *beep.FlatEnv, lo, hi int) {
 	ms := s.ms
 	sent, heard := env.Sent, env.Heard
@@ -163,12 +159,9 @@ func (s *alg1Slab) ReinitAll(g graph.Topology) {
 
 // --- Algorithm 2 ---
 
-// EmitAll is alg2Machine.Emit over the slab: beep₂ at ℓ = 0 (the MIS
-// announcement, no randomness), beep₁ with probability 2^-ℓ while
-// 0 < ℓ < ℓmax.
-func (s *alg2Slab) EmitAll(env *beep.FlatEnv) { s.EmitRange(env, 0, len(s.ms)) }
-
-// EmitRange is the [lo, hi) stripe of EmitAll (beep.FlatProtocol).
+// EmitRange is alg2Machine.Emit over the [lo, hi) stripe of the slab
+// (beep.FlatProtocol): beep₂ at ℓ = 0 (the MIS announcement, no
+// randomness), beep₁ with probability 2^-ℓ while 0 < ℓ < ℓmax.
 func (s *alg2Slab) EmitRange(env *beep.FlatEnv, lo, hi int) {
 	ms := s.ms
 	sent := env.Sent
@@ -237,10 +230,8 @@ func alg2Step(m *alg2Machine, sent, heard beep.Signal) bool {
 	return nl != lv
 }
 
-// UpdateAll is alg2Machine.Update over the slab.
-func (s *alg2Slab) UpdateAll(env *beep.FlatEnv) { s.UpdateRange(env, 0, len(s.ms)) }
-
-// UpdateRange is the [lo, hi) stripe of UpdateAll (beep.FlatProtocol).
+// UpdateRange is alg2Machine.Update over the [lo, hi) stripe of the
+// slab (beep.FlatProtocol).
 func (s *alg2Slab) UpdateRange(env *beep.FlatEnv, lo, hi int) {
 	ms := s.ms
 	sent, heard := env.Sent, env.Heard
@@ -276,11 +267,9 @@ func (s *alg2Slab) ReinitAll(g graph.Topology) {
 
 // --- Adaptive heuristic ---
 
-// EmitAll is the Algorithm 1 emit rule over the adaptive slab
-// (adaptiveMachine promotes alg1Machine.Emit unchanged).
-func (s *adaptiveSlab) EmitAll(env *beep.FlatEnv) { s.EmitRange(env, 0, len(s.ms)) }
-
-// EmitRange is the [lo, hi) stripe of EmitAll (beep.FlatProtocol).
+// EmitRange is the Algorithm 1 emit rule over the [lo, hi) stripe of
+// the adaptive slab (beep.FlatProtocol; adaptiveMachine promotes
+// alg1Machine.Emit unchanged).
 func (s *adaptiveSlab) EmitRange(env *beep.FlatEnv, lo, hi int) {
 	alg1EmitRange(env, s.ms, lo, hi, func(m *adaptiveMachine) *alg1Machine { return &m.alg1Machine })
 }
@@ -307,10 +296,8 @@ func adaptiveStep(m *adaptiveMachine, sent, heard beep.Signal) bool {
 	return true
 }
 
-// UpdateAll is adaptiveMachine.Update over the slab.
-func (s *adaptiveSlab) UpdateAll(env *beep.FlatEnv) { s.UpdateRange(env, 0, len(s.ms)) }
-
-// UpdateRange is the [lo, hi) stripe of UpdateAll (beep.FlatProtocol).
+// UpdateRange is adaptiveMachine.Update over the [lo, hi) stripe of
+// the adaptive slab (beep.FlatProtocol).
 func (s *adaptiveSlab) UpdateRange(env *beep.FlatEnv, lo, hi int) {
 	ms := s.ms
 	sent, heard := env.Sent, env.Heard

@@ -9,10 +9,10 @@ import (
 )
 
 // FuzzFlatEmitDrawEquivalence fuzzes the contract that makes the flat
-// kernels trace-exact: for an arbitrary level configuration, EmitAll on
-// the exact path (no batched sampler) must produce the same signals AND
-// consume each vertex's private stream exactly as the per-machine Emit
-// would — the same number of draws in the same order. The draw-sequence
+// kernels trace-exact: for an arbitrary level configuration, EmitRange
+// over the whole cohort must produce the same signals AND consume each
+// vertex's private stream exactly as the per-machine Emit would — the
+// same number of draws in the same order. The draw-sequence
 // part is checked by comparing the next word of every stream after the
 // pass: a kernel that short-circuits a draw (or adds one) desynchronizes
 // the stream and fails here even when this round's signals happen to
@@ -63,7 +63,7 @@ func FuzzFlatEmitDrawEquivalence(f *testing.F) {
 				Heard: make([]beep.Signal, n),
 				Srcs:  srcsK,
 			}
-			ops.EmitAll(env)
+			ops.EmitRange(env, 0, n)
 			drew := false
 			for v := 0; v < n; v++ {
 				want := refMs[v].Emit(srcsR[v])
@@ -95,7 +95,7 @@ func FuzzFlatEmitDrawEquivalence(f *testing.F) {
 				heard[v] = beep.Signal(data[(v+1)%n] & 3)
 			}
 			copy(env.Heard, heard)
-			ops.UpdateAll(env)
+			ops.UpdateRange(env, 0, n)
 			for v := 0; v < n; v++ {
 				refMs[v].Update(env.Sent[v], heard[v])
 				got := kernelMs[v].(Leveled).Level()

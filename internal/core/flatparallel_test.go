@@ -54,11 +54,13 @@ func compareTraces(t *testing.T, name string, got, ref [][]beep.Signal) {
 }
 
 // TestFlatParallelWorkerCountInvariance pins the determinism contract
-// of the sharded flat engine at a size where every worker count from 1
+// of the striped flat engine at a size where every worker count from 1
 // to 8 produces a different stripe partition (n = 500 spans eight
-// 64-vertex words): the trace must be bit-identical to the sequential
-// flat engine's for every partition, because each vertex only ever
-// consumes randomness from its own private stream.
+// 64-vertex words): the trace must be bit-identical to the one-stripe
+// Flat engine's for every partition, because each vertex only ever
+// consumes randomness from its own private stream. The fault-model row
+// (sleep, noise and one jammer) runs the dense striped round every
+// round; the fault-free row runs the activity-gated one.
 func TestFlatParallelWorkerCountInvariance(t *testing.T) {
 	g := graph.GNPAvgDegree(500, 7, rng.New(88))
 	const seed, rounds = 1213, 40
@@ -69,11 +71,23 @@ func TestFlatParallelWorkerCountInvariance(t *testing.T) {
 		}
 		return nil
 	}
-	ref := collectTrace(t, g, seed, body, beep.WithEngine(beep.Flat))
-	for w := 1; w <= 8; w++ {
-		got := collectTrace(t, g, seed, body,
-			beep.WithEngine(beep.FlatParallel), beep.WithWorkers(w))
-		compareTraces(t, fmt.Sprintf("flatparallel-w%d", w), got, ref)
+	for _, row := range []struct {
+		name string
+		opts []beep.Option
+	}{
+		{"fault-free", nil},
+		{"faults", []beep.Option{
+			beep.WithSleep(beep.Sleep{P: 0.1}),
+			beep.WithNoise(beep.Noise{PLoss: 0.05, PFalse: 0.02}),
+			beep.WithAdversaries(beep.AdvJammer, []int{250}),
+		}},
+	} {
+		ref := collectTrace(t, g, seed, body, append([]beep.Option{beep.WithEngine(beep.Flat)}, row.opts...)...)
+		for w := 1; w <= 8; w++ {
+			got := collectTrace(t, g, seed, body, append([]beep.Option{
+				beep.WithEngine(beep.FlatParallel), beep.WithWorkers(w)}, row.opts...)...)
+			compareTraces(t, fmt.Sprintf("%s/flatparallel-w%d", row.name, w), got, ref)
+		}
 	}
 }
 
